@@ -31,13 +31,9 @@
 // methods can be compared at identical backbone sizes (the paper's
 // protocol); BackboneAll runs that comparison concurrently. Methods()
 // lists the registered algorithms and their parameters.
-//
-// The per-method helpers below (NCScores, DisparityBackbone, ...)
-// predate the registry and remain as thin wrappers.
 package repro
 
 import (
-	"context"
 	"io"
 
 	_ "repro/internal/backbone" // self-registers the baseline methods
@@ -93,123 +89,11 @@ func ReadCSV(r io.Reader, directed bool) (*Graph, error) {
 	return graph.ReadCSV(r, directed)
 }
 
-// backboneOf runs the context pipeline and unwraps the bare backbone —
-// the shared body of the deprecated per-method helpers.
-func backboneOf(g *Graph, opts ...Option) (*Graph, error) {
-	res, err := BackboneContext(context.Background(), g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Backbone, nil
-}
-
-// NCScores computes the Noise-Corrected significance table. The
-// canonical Score column is the symmetrized lift divided by its
-// posterior standard deviation, so Threshold(δ) applies the paper's
-// pruning rule. Aux columns "nc_score", "sdev", "expected" and
-// "variance" expose the underlying statistics.
-//
-// Deprecated: use Score with WithMethod("nc").
-func NCScores(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("nc"))
-}
-
-// NCBackbone extracts the Noise-Corrected backbone at significance δ.
-// Common values: 1.28, 1.64, 2.32 (≈ one-tailed p of 0.10, 0.05, 0.01).
-//
-// Deprecated: use Backbone with WithMethod("nc") and WithDelta.
-func NCBackbone(g *Graph, delta float64) (*Graph, error) {
-	return backboneOf(g, WithMethod("nc"), WithDelta(delta))
-}
-
 // NCEdge evaluates the NC statistics of a single (possibly
 // hypothetical) edge from its weight, endpoint strengths and network
 // total — e.g. to test whether two edges differ significantly.
 func NCEdge(weight, outStrength, inStrength, total float64) EdgeStats {
 	return core.ComputeEdge(weight, outStrength, inStrength, total)
-}
-
-// NCBinomialScores computes the footnote-2 variant of the NC backbone:
-// direct upper-tail Binomial p-values against the bilateral null, with
-// Score = -log10(p). Aux column "pvalue" holds raw p-values.
-//
-// Deprecated: use Score with WithMethod("nc-binomial").
-func NCBinomialScores(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("nc-binomial"))
-}
-
-// DisparityScores computes Disparity Filter significances (Serrano et
-// al. 2009): Score = 1 - α, Aux "alpha" holds the raw p-values.
-//
-// Deprecated: use Score with WithMethod("df").
-func DisparityScores(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("df"))
-}
-
-// DisparityBackbone keeps edges significant at level alpha under the
-// Disparity Filter null model.
-//
-// Deprecated: use Backbone with WithMethod("df") and WithAlpha.
-func DisparityBackbone(g *Graph, alpha float64) (*Graph, error) {
-	return backboneOf(g, WithMethod("df"), WithAlpha(alpha))
-}
-
-// HSSScores computes High Salience Skeleton saliences (Grady et al.
-// 2012) on the undirected view of g: the share of shortest-path trees
-// containing each edge.
-//
-// Deprecated: use Score with WithMethod("hss").
-func HSSScores(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("hss"))
-}
-
-// HSSBackbone keeps edges with salience above the threshold
-// (0.5 is customary given the bimodal salience distribution).
-//
-// Deprecated: use Backbone with WithMethod("hss") and WithSalience.
-func HSSBackbone(g *Graph, salience float64) (*Graph, error) {
-	return backboneOf(g, WithMethod("hss"), WithSalience(salience))
-}
-
-// DoublyStochasticScores returns Sinkhorn-normalized edge weights
-// (Slater 2009). It errors when the transformation is impossible —
-// e.g. when a node only sends or only receives weight.
-//
-// Deprecated: use Score with WithMethod("ds").
-func DoublyStochasticScores(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("ds"))
-}
-
-// DoublyStochasticBackbone runs Slater's full two-stage algorithm:
-// normalized edges are added strongest-first until the backbone is a
-// single connected component.
-//
-// Deprecated: use Backbone with WithMethod("ds").
-func DoublyStochasticBackbone(g *Graph) (*Graph, error) {
-	return backboneOf(g, WithMethod("ds"))
-}
-
-// MaximumSpanningTree extracts the maximum spanning forest (Kruskal).
-// Directed graphs are symmetrized by summing reciprocal weights.
-//
-// Deprecated: use Backbone with WithMethod("mst").
-func MaximumSpanningTree(g *Graph) (*Graph, error) {
-	return backboneOf(g, WithMethod("mst"))
-}
-
-// NaiveScores scores edges by raw weight, so thresholding reproduces
-// the classic "drop light edges" filter.
-//
-// Deprecated: use Score with WithMethod("nt").
-func NaiveScores(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("nt"))
-}
-
-// NaiveBackbone keeps edges with weight strictly above the threshold.
-//
-// Deprecated: use Backbone with WithMethod("nt") and WithWeightThreshold.
-func NaiveBackbone(g *Graph, threshold float64) (*Graph, error) {
-	return backboneOf(g, WithMethod("nt"), WithWeightThreshold(threshold))
 }
 
 // DeltaToPValue converts an NC δ threshold to the one-tailed p-value
@@ -218,31 +102,6 @@ func DeltaToPValue(delta float64) float64 { return core.DeltaToPValue(delta) }
 
 // PValueToDelta converts a one-tailed p-value to the corresponding δ.
 func PValueToDelta(p float64) float64 { return core.PValueToDelta(p) }
-
-// KCoreScores assigns each edge the core number of its weaker endpoint
-// (Seidman 1983), the classic degree-based backbone: Threshold(k-1)
-// yields the k-core.
-//
-// Deprecated: use Score with WithMethod("kcore").
-func KCoreScores(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("kcore"))
-}
-
-// KCoreBackbone keeps the edges of the k-core: both endpoints survive
-// recursive removal of nodes with degree below k.
-//
-// Deprecated: use Backbone with WithMethod("kcore") and WithK.
-func KCoreBackbone(g *Graph, k int) (*Graph, error) {
-	return backboneOf(g, WithMethod("kcore"), WithK(k))
-}
-
-// NCScoresParallel is NCScores computed on all CPUs; results are
-// bit-identical to the serial scorer.
-//
-// Deprecated: use Score with WithMethod("nc") and WithParallel.
-func NCScoresParallel(g *Graph) (*Scores, error) {
-	return ScoreContext(context.Background(), g, WithMethod("nc"), WithParallel())
-}
 
 // Comparison is a two-sample z-test between two edges' NC scores.
 type Comparison = core.Comparison

@@ -30,7 +30,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if g.NumNodes() != 5 || g.NumEdges() != 8 {
 		t.Fatalf("parsed %d nodes %d edges", g.NumNodes(), g.NumEdges())
 	}
-	scores, err := NCScores(g)
+	scores, err := Score(g, WithMethod("nc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,28 +59,28 @@ func TestFacadeEndToEnd(t *testing.T) {
 
 func TestFacadeAllMethodsRun(t *testing.T) {
 	g := demoGraph(t)
-	if _, err := NCBackbone(g, 1.0); err != nil {
+	if _, err := Backbone(g, WithMethod("nc"), WithDelta(1.0)); err != nil {
 		t.Errorf("NC: %v", err)
 	}
-	if _, err := NCBinomialScores(g); err != nil {
+	if _, err := Score(g, WithMethod("nc-binomial")); err != nil {
 		t.Errorf("NC binomial: %v", err)
 	}
-	if _, err := DisparityBackbone(g, 0.2); err != nil {
+	if _, err := Backbone(g, WithMethod("df"), WithAlpha(0.2)); err != nil {
 		t.Errorf("DF: %v", err)
 	}
-	if _, err := HSSBackbone(g, 0.5); err != nil {
+	if _, err := Backbone(g, WithMethod("hss"), WithSalience(0.5)); err != nil {
 		t.Errorf("HSS: %v", err)
 	}
-	if _, err := DoublyStochasticBackbone(g); err != nil {
+	if _, err := Backbone(g, WithMethod("ds")); err != nil {
 		t.Errorf("DS: %v", err)
 	}
-	tree, err := MaximumSpanningTree(g)
+	tree, err := Backbone(g, WithMethod("mst"))
 	if err != nil {
 		t.Errorf("MST: %v", err)
-	} else if tree.NumEdges() != g.NumNodes()-1 {
-		t.Errorf("MST edges = %d", tree.NumEdges())
+	} else if tree.Backbone.NumEdges() != g.NumNodes()-1 {
+		t.Errorf("MST edges = %d", tree.Backbone.NumEdges())
 	}
-	if _, err := NaiveBackbone(g, 10); err != nil {
+	if _, err := Backbone(g, WithMethod("nt"), WithWeightThreshold(10)); err != nil {
 		t.Errorf("naive: %v", err)
 	}
 }
@@ -114,25 +114,25 @@ func TestFacadeNCEdgeAndPValues(t *testing.T) {
 
 func TestFacadeKCoreAndParallel(t *testing.T) {
 	g := demoGraph(t)
-	s, err := KCoreScores(g)
+	s, err := Score(g, WithMethod("kcore"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bb, err := KCoreBackbone(g, 2)
+	bb, err := Backbone(g, WithMethod("kcore"), WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bb.NumEdges() == 0 {
+	if bb.Backbone.NumEdges() == 0 {
 		t.Error("2-core empty on a dense demo graph")
 	}
-	par, err := NCScoresParallel(g)
+	par, err := Score(g, WithMethod("nc"), WithParallel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := NCScores(g)
+	ser, err := Score(g, WithMethod("nc"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func BenchmarkNCScoresOnly100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NCScores(g); err != nil {
+		if _, err := Score(g, WithMethod("nc")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func BenchmarkGraphBuild1M(b *testing.B)   { benchGraphBuild(b, 700_000, 1_000_0
 
 func benchExtract(b *testing.B, n int, prune func(s *Scores) *Graph) {
 	g := fig9Graph(b, n)
-	s, err := NCScores(g)
+	s, err := Score(g, WithMethod("nc"))
 	if err != nil {
 		b.Fatal(err)
 	}

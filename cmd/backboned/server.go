@@ -10,8 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -24,7 +24,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/binfmt"
 	"repro/internal/cache"
-	"repro/internal/filter"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/resilient"
@@ -90,9 +89,10 @@ type serverConfig struct {
 
 // server is the backboned HTTP front end: a mux over the method
 // registry plus the shared run controls every request goes through —
-// the bounded worker pool, the per-request timeout, the typed-error to
+// the adaptive worker pool, the per-request timeout, the typed-error to
 // status-code mapping, and the content-addressed caches that let
-// repeated identical bodies skip parsing and scoring.
+// repeated identical bodies skip parsing and scoring. The counters are
+// documented where they are exposed, in the metrics table (metrics.go).
 type server struct {
 	mux *http.ServeMux
 	// limiter is the adaptive, lane-aware worker-pool admission path
@@ -102,29 +102,13 @@ type server struct {
 	timeout time.Duration // per-request wall clock budget
 	maxBody int64
 	logf    func(format string, args ...any)
-	// Deadline accounting: expiredArrivals counts requests whose
-	// propagated budget (X-Backbone-Deadline) was already spent on
-	// arrival; expiredBeforeScoring counts scoring runs refused at the
-	// last gate because the deadline passed while queued or parsing —
-	// CPU the admission path saved. deadlineViolations counts scoring
-	// runs that would have *started* past their deadline without the
-	// gate noticing earlier; it is the runtime assertion the overload
-	// e2e consumes and must stay zero.
-	expiredArrivals      atomic.Uint64
-	expiredBeforeScoring atomic.Uint64
-	deadlineViolations   atomic.Uint64
+	metrics []metric
 	// graphs memoizes parsed request bodies; scores memoizes per-method
 	// significance tables. Either may be nil (disabled) — the nil LRU
 	// computes without caching.
-	graphs   *cache.LRU[graphKey, *repro.Graph]
-	scores   *cache.LRU[scoreKey, *repro.Scores]
-	start    time.Time
-	requests atomic.Uint64
-	// evalRequests counts POST /evaluate calls; evalCacheSkips the
-	// method-scoring runs those calls skipped thanks to the
-	// content-addressed score cache (one per cached table).
-	evalRequests   atomic.Uint64
-	evalCacheSkips atomic.Uint64
+	graphs *cache.LRU[graphKey, *repro.Graph]
+	scores *cache.LRU[scoreKey, *repro.Scores]
+	start  time.Time
 	// graphDir is the -graphdir root ("" disables the mmap fast path);
 	// mmapFiles memoizes one load attempt per body digest — mapped
 	// graphs are shared by every request for the life of the process
@@ -132,12 +116,6 @@ type server struct {
 	graphDir  string
 	mmapMu    sync.Mutex
 	mmapFiles map[[sha256.Size]byte]*mmapEntry
-	// mmap fast-path counters: hits served a mapped graph, loads opened
-	// a file, misses found no (or a directedness-mismatched) file,
-	// errors hit an unreadable/corrupt one. sections/bytes gauge what
-	// the successful loads keep mapped.
-	mmapHits, mmapLoads, mmapMisses, mmapErrors atomic.Uint64
-	mmapSections, mmapBytes                     atomic.Int64
 	// fleet is nil in single-node mode. fault is nil without -chaos.
 	fleet *fleet.Fleet
 	fault *resilient.Fault
@@ -146,23 +124,6 @@ type server struct {
 	sessMu      sync.Mutex
 	sessions    map[string]*session
 	maxSessions int
-	// Session counters. sessionInvalidations is the delta-invalidation
-	// count the tentpole asks for: how many per-session score tables an
-	// update stream dirtied (each will re-score only its dirty rows on
-	// the next read). sessionRescoredRows totals those dirty rows;
-	// sessionFullRescores counts reads that re-scored the whole table
-	// (first touch, or a method with a global dirtiness signature).
-	// sessionOwnerMiss counts 503s where the session's rendezvous owner
-	// was unreachable — stateful routes never degrade to local.
-	sessionCreates       atomic.Uint64
-	sessionUpdates       atomic.Uint64
-	sessionReads         atomic.Uint64
-	sessionDeletes       atomic.Uint64
-	sessionEvictions     atomic.Uint64
-	sessionInvalidations atomic.Uint64
-	sessionRescoredRows  atomic.Uint64
-	sessionFullRescores  atomic.Uint64
-	sessionOwnerMiss     atomic.Uint64
 	// draining flips when graceful shutdown begins: /readyz turns 503
 	// so load balancers and peers stop routing here, while /healthz
 	// stays 200 (the process is alive, just leaving).
@@ -170,6 +131,16 @@ type server struct {
 	// onError observes every request failure after status mapping; a
 	// test hook, nil outside tests.
 	onError func(status int, err error)
+
+	requests, evalRequests, evalCacheSkips             atomic.Uint64
+	expiredArrivals, expiredBeforeScoring              atomic.Uint64
+	deadlineViolations                                 atomic.Uint64
+	mmapHits, mmapLoads, mmapMisses, mmapErrors        atomic.Uint64
+	mmapSections, mmapBytes                            atomic.Int64
+	sessionCreates, sessionUpdates, sessionReads       atomic.Uint64
+	sessionDeletes, sessionEvictions, sessionOwnerMiss atomic.Uint64
+	sessionInvalidations, sessionRescoredRows          atomic.Uint64
+	sessionFullRescores                                atomic.Uint64
 }
 
 func newServer(cfg serverConfig) *server {
@@ -212,6 +183,7 @@ func newServer(cfg serverConfig) *server {
 	if s.maxSessions <= 0 {
 		s.maxSessions = defaultMaxSessions
 	}
+	s.metrics = s.metricTable()
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -219,18 +191,27 @@ func newServer(cfg serverConfig) *server {
 	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("/methods", s.handleMethods)
 	s.mux.HandleFunc("/formats", s.handleFormats)
-	s.mux.HandleFunc("/backbone", s.handleRun)
-	s.mux.HandleFunc("/score", s.handleRun)
-	s.mux.HandleFunc("/evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /session", s.handleSessionCreate)
-	s.mux.HandleFunc("POST /session/{id}/update", s.handleSessionUpdate)
-	s.mux.HandleFunc("GET /session/{id}/backbone", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSessionRead(w, r, false)
-	})
-	s.mux.HandleFunc("GET /session/{id}/score", func(w http.ResponseWriter, r *http.Request) {
-		s.handleSessionRead(w, r, true)
-	})
-	s.mux.HandleFunc("DELETE /session/{id}", s.handleSessionDelete)
+
+	// The work endpoints: one op each on the shared skeleton (serve.go).
+	// The stateless ones work on the posted body alone, so any peer may
+	// compute them.
+	stateless := func(classify func(*call) (admission.Lane, string), execute func(*call) error) op {
+		return op{allow: http.MethodPost, route: byBody, degrade: true, classify: classify, resolve: s.resolveBody, execute: execute}
+	}
+	evaluate := stateless(s.classifyEvaluate, s.evaluate)
+	evaluate.counter = &s.evalRequests
+	s.mux.HandleFunc("/backbone", s.serve(stateless(s.classifyRun, s.runStateless(false))))
+	s.mux.HandleFunc("/score", s.serve(stateless(s.classifyRun, s.runStateless(true))))
+	s.mux.HandleFunc("/evaluate", s.serve(evaluate))
+	s.mux.HandleFunc("POST /session", s.serve(op{route: byBody,
+		classify: fixedLane(admission.Cold, "session-create"), resolve: s.resolveBody, execute: s.createSession}))
+	s.mux.HandleFunc("POST /session/{id}/update", s.serve(op{route: bySessionBody,
+		classify: fixedLane(admission.Fast, "session-update"), resolve: s.lookupSession, execute: s.updateSession}))
+	s.mux.HandleFunc("GET /session/{id}/backbone", s.serve(op{route: bySession,
+		classify: s.classifySessionRead, resolve: s.lookupSession, execute: s.readSession(false)}))
+	s.mux.HandleFunc("GET /session/{id}/score", s.serve(op{route: bySession,
+		classify: s.classifySessionRead, resolve: s.lookupSession, execute: s.readSession(true)}))
+	s.mux.HandleFunc("DELETE /session/{id}", s.serve(op{route: bySession, execute: s.deleteSession}))
 	return s
 }
 
@@ -268,12 +249,16 @@ func (s *server) fail(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// statusFor maps pipeline errors onto HTTP statuses: the exported
-// sentinel/typed errors are caller mistakes (400), context expiry is a
-// timeout (504), a vanished client is 499, anything else is a 500.
+// statusFor maps pipeline errors onto HTTP statuses: an httpError
+// carries its own, the exported sentinel/typed errors are caller
+// mistakes (400), context expiry is a timeout (504), a vanished client
+// is 499, anything else is a 500.
 func statusFor(err error) int {
 	var pe *repro.ParamError
+	var he *httpError
 	switch {
+	case errors.As(err, &he):
+		return he.status
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -288,6 +273,29 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// httpError is a failure whose status its type alone does not imply: a
+// malformed body, an unknown session.
+type httpError struct {
+	status int
+	error
+}
+
+func (e *httpError) Unwrap() error { return e.error }
+
+func errorf(status int, format string, args ...any) error {
+	return &httpError{status, fmt.Errorf(format, args...)}
+}
+
+// parseFailure is a body that did not parse: a caller mistake, unless
+// the request's own context expired meanwhile (a cache follower can
+// observe its cancellation while waiting on the leader's parse).
+func parseFailure(err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return &httpError{http.StatusBadRequest, err}
 }
 
 func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -441,16 +449,14 @@ func (s *server) handleFormats(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// runRequest is a parsed /backbone or /score request: the input graph
-// (possibly served from the content-addressed cache under gkey), the
-// selected method, and the pipeline options and response shaping
-// derived from query parameters and (optionally) the JSON envelope.
+// runRequest is a parsed /backbone, /score or session read: the graph,
+// the selected method, and the pipeline options and response shaping
+// derived from the query string and (optionally) the JSON envelope.
+// /evaluate reads its options into one too, with no method selected.
 type runRequest struct {
 	g         *repro.Graph
-	gkey      graphKey
 	method    *repro.Method
-	params    filter.Params // resolved-name overrides, for /score validation
-	topSet    bool          // a top/frac pruning option is present
+	topSet    bool // a top/frac pruning option is present
 	parallel  bool
 	opts      []repro.Option
 	outFormat string
@@ -458,7 +464,10 @@ type runRequest struct {
 }
 
 // queryReserved are the query keys with fixed meanings; every other
-// key must name a parameter of the selected method.
+// key must name a parameter of the selected method (/evaluate: of some
+// compared method). /evaluate accepts "outformat" and "response" as
+// no-ops (its report is always JSON) so clients can carry /backbone
+// query habits over.
 var queryReserved = map[string]bool{
 	"method": true, "top": true, "frac": true, "parallel": true,
 	"directed": true, "format": true, "outformat": true, "response": true,
@@ -494,16 +503,6 @@ func contentTypeFormat(ct string) string {
 		return "ndjson"
 	}
 	return ""
-}
-
-// parseStatus maps a parse-phase error to its HTTP status: context
-// expiry keeps its dedicated codes (a cache follower can observe its
-// own cancellation while waiting), everything else is a caller mistake.
-func parseStatus(err error) int {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return statusFor(err)
-	}
-	return http.StatusBadRequest
 }
 
 // buildEnvelopeGraph constructs the graph carried inline in a JSON
@@ -625,134 +624,120 @@ func (s *server) mmapGraph(sum [sha256.Size]byte, directed bool) *repro.Graph {
 	return g
 }
 
-// resolveGraph turns a fully read request body into a parsed graph
-// through the content-addressed cache: identical bodies parse once,
-// concurrent identical bodies parse once between them. It handles both
-// raw edge lists (format from ?format=, the Content-Type, or sniffed)
-// and JSON envelopes; outFormat is the format name the response should
-// mirror ("" when sniffed or enveloped). The int return is the HTTP
-// status when err != nil.
-func (s *server) resolveGraph(ctx context.Context, r *http.Request, body []byte) (g *repro.Graph, gkey graphKey, env *envelope, outFormat string, status int, err error) {
-	q := r.URL.Query()
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt
+// resolveBody turns the request body into a graph through the
+// content-addressed cache: identical bodies parse once, concurrent
+// identical bodies parse once between them. It handles both raw edge
+// lists (format from ?format=, the Content-Type, or sniffed) and JSON
+// envelopes, and a raw body with a pre-converted -graphdir twin is
+// memory-mapped instead of parsed (and instead of occupying LRU budget
+// — the mapping is shared and the page cache owns the bytes).
+func (s *server) resolveBody(c *call) error {
+	if c.keyErr != nil {
+		return c.keyErr
 	}
-
-	if ct == "application/json" {
-		dec := json.NewDecoder(bytes.NewReader(body))
+	build := func() (*repro.Graph, error) {
+		readOpts := []repro.IOOption{repro.WithDirected(c.key.directed)}
+		if c.key.mode != "sniff" {
+			readOpts = append(readOpts, repro.WithFormat(c.key.mode))
+		}
+		g, err := repro.ReadGraph(bytes.NewReader(c.body), readOpts...)
+		if err != nil {
+			return nil, fmt.Errorf("bad edge list: %w", err)
+		}
+		return g, nil
+	}
+	if c.key.mode == "envelope" {
+		dec := json.NewDecoder(bytes.NewReader(c.body))
 		dec.UseNumber()
-		env = &envelope{}
+		env := &envelope{}
 		if err := dec.Decode(env); err != nil {
-			return nil, gkey, nil, "", http.StatusBadRequest, fmt.Errorf("bad JSON envelope: %v", err)
+			return errorf(http.StatusBadRequest, "bad JSON envelope: %v", err)
 		}
 		if len(env.Edges) == 0 {
-			return nil, gkey, nil, "", http.StatusBadRequest, fmt.Errorf("JSON envelope has no edges")
+			return errorf(http.StatusBadRequest, "JSON envelope has no edges")
 		}
-		directed := env.Directed
-		if v := q.Get("directed"); v != "" {
-			directed = v == "true" || v == "1"
+		if c.q.Get("directed") == "" {
+			c.key.directed = env.Directed
 		}
-		gkey = graphKey{sum: sha256.Sum256(body), mode: "envelope", directed: directed}
-		g, _, err := s.graphs.Do(ctx, gkey, func() (*repro.Graph, int64, error) {
-			g, err := buildEnvelopeGraph(env, directed)
-			if err != nil {
-				return nil, 0, err
-			}
-			return g, graphCost(g), nil
-		})
+		c.env = env
+		build = func() (*repro.Graph, error) { return buildEnvelopeGraph(env, c.key.directed) }
+	} else if mg := s.mmapGraph(c.key.sum, c.key.directed); mg != nil {
+		c.g = mg
+		return nil
+	}
+	g, _, err := s.graphs.Do(c.ctx, c.key, func() (*repro.Graph, int64, error) {
+		g, err := build()
 		if err != nil {
-			return nil, gkey, nil, "", parseStatus(err), err
-		}
-		return g, gkey, env, "", 0, nil
-	}
-
-	directed := q.Get("directed") == "true" || q.Get("directed") == "1"
-	inFormat := q.Get("format")
-	if inFormat == "" {
-		inFormat = contentTypeFormat(ct)
-	}
-	mode := "sniff"
-	readOpts := []repro.IOOption{repro.WithDirected(directed)}
-	if inFormat != "" {
-		f, err := repro.LookupFormat(inFormat)
-		if err != nil {
-			return nil, gkey, nil, "", http.StatusBadRequest, err
-		}
-		outFormat = f.Name // default response format mirrors input
-		readOpts = append(readOpts, repro.WithFormat(f.Name))
-		mode = f.Name
-	}
-	gkey = graphKey{sum: sha256.Sum256(body), mode: mode, directed: directed}
-	// -graphdir fast path: a pre-converted binary twin of this body is
-	// memory-mapped instead of parsed (and instead of occupying LRU
-	// budget — the mapping is shared and the page cache owns the bytes).
-	if mg := s.mmapGraph(gkey.sum, directed); mg != nil {
-		return mg, gkey, nil, outFormat, 0, nil
-	}
-	g, _, err = s.graphs.Do(ctx, gkey, func() (*repro.Graph, int64, error) {
-		g, err := repro.ReadGraph(bytes.NewReader(body), readOpts...)
-		if err != nil {
-			return nil, 0, fmt.Errorf("bad edge list: %w", err)
+			return nil, 0, err
 		}
 		return g, graphCost(g), nil
 	})
 	if err != nil {
-		return nil, gkey, nil, "", parseStatus(err), err
+		return parseFailure(err)
 	}
-	return g, gkey, nil, outFormat, 0, nil
+	c.g = g
+	return nil
 }
 
-// parseRun turns the HTTP request (body already read in full) into a
-// runRequest: the graph via resolveGraph, then method selection,
-// parameters and response shaping via parseRunOptions. The int return
-// is the HTTP status when err != nil.
-func (s *server) parseRun(ctx context.Context, r *http.Request, body []byte) (*runRequest, int, error) {
-	req := &runRequest{}
-	g, gkey, env, outFormat, status, err := s.resolveGraph(ctx, r, body)
-	if err != nil {
-		return nil, status, err
-	}
-	req.g, req.gkey, req.outFormat = g, gkey, outFormat
-	if status, err := s.parseRunOptions(r, env, req); err != nil {
-		return nil, status, err
-	}
-	return req, 0, nil
-}
-
-// parseRunOptions fills a runRequest's method, parameters, pruning and
-// response shaping from the query string (and, when the body was a
-// JSON envelope, the envelope's fields — query overrides envelope).
-// Shared between the stateless scoring endpoints (after resolveGraph)
-// and the session read endpoints (whose graph lives in the session).
-// The int return is the HTTP status when err != nil.
-func (s *server) parseRunOptions(r *http.Request, env *envelope, req *runRequest) (int, error) {
-	q := r.URL.Query()
-
-	// Method selection and parameters: query overrides envelope.
+// parseRun reads a runRequest's method, options and response shaping
+// from the query string and, when the body was a JSON envelope, the
+// envelope's fields — the query overrides the envelope. outFormat is
+// the input format the response mirrors unless ?outformat= says
+// otherwise ("" for csv). A score request must pass the pipeline's own
+// Score checks: its table comes from a cache, not from Score.
+func parseRun(c *call, outFormat string, scoreOnly bool) (*runRequest, error) {
 	methodName := "nc"
-	if env != nil && env.Method != "" {
-		methodName = env.Method
+	if c.env != nil && c.env.Method != "" {
+		methodName = c.env.Method
 	}
-	if v := q.Get("method"); v != "" {
+	if v := c.q.Get("method"); v != "" {
 		methodName = v
 	}
 	m, err := repro.LookupMethod(methodName)
 	if err != nil {
-		return http.StatusBadRequest, err
+		return nil, err
 	}
-	req.method = m
-	req.params = filter.Params{}
-	req.opts = append(req.opts, repro.WithMethod(m.Name))
+	req := &runRequest{method: m, opts: []repro.Option{repro.WithMethod(m.Name)}, outFormat: outFormat}
+	if err := req.addOptions(c.q, c.env); err != nil {
+		return nil, err
+	}
+	if v := c.q.Get("outformat"); v != "" {
+		f, err := repro.LookupFormat(v)
+		if err != nil {
+			return nil, err
+		}
+		req.outFormat = f.Name
+	}
+	if req.outFormat == "" {
+		req.outFormat = "csv"
+	}
+	req.asJSON = c.q.Get("response") == "json" || strings.Contains(c.r.Header.Get("Accept"), "application/json")
+	if scoreOnly {
+		if err := repro.ValidateScore(req.opts...); err != nil {
+			return nil, err
+		}
+	}
+	return req, nil
+}
+
+// addOptions appends the parameter, pruning and parallelism options
+// every scoring endpoint shares: envelope fields first, then the query,
+// which overrides them. Envelope pruning applies only when the query
+// carries none — "query overrides envelope" must hold across option
+// kinds, or an envelope "top" would silently beat a query ?frac= (the
+// pipeline prefers topK whenever both are set). With a method selected,
+// every non-reserved query key must be one of its parameters; /evaluate
+// selects none here (the comparison engine checks that some compared
+// method declares each) and also reserves "methods".
+func (req *runRequest) addOptions(q url.Values, env *envelope) error {
+	methodName := ""
+	if req.method != nil {
+		methodName = req.method.Name
+	}
 	if env != nil {
 		for name, v := range env.Params {
-			req.params[name] = v
 			req.opts = append(req.opts, repro.WithParam(name, v))
 		}
-		// Envelope pruning applies only when the query carries none:
-		// "query overrides envelope" must hold across option kinds, or
-		// an envelope "top" would silently beat a query ?frac= (the
-		// pipeline prefers topK whenever both are set).
 		if q.Get("top") == "" && q.Get("frac") == "" {
 			if env.Top != nil {
 				req.topSet = true
@@ -763,36 +748,27 @@ func (s *server) parseRunOptions(r *http.Request, env *envelope, req *runRequest
 				req.opts = append(req.opts, repro.WithTopFraction(*env.Frac))
 			}
 		}
-		if env.Parallel {
-			req.parallel = true
-			req.opts = append(req.opts, repro.WithParallel())
-		}
+		req.parallel = env.Parallel
 	}
 	for name, vals := range q {
-		if queryReserved[name] {
+		if queryReserved[name] || (req.method == nil && name == "methods") {
 			continue
 		}
-		if _, ok := m.Param(name); !ok {
-			return http.StatusBadRequest, &repro.ParamError{
-				Method: m.Name, Param: name,
-				Reason: "unknown query parameter",
-				Err:    repro.ErrUnknownParam,
+		if req.method != nil {
+			if _, ok := req.method.Param(name); !ok {
+				return &repro.ParamError{Method: methodName, Param: name, Reason: "unknown query parameter", Err: repro.ErrUnknownParam}
 			}
 		}
 		v, err := strconv.ParseFloat(vals[0], 64)
 		if err != nil {
-			return http.StatusBadRequest, &repro.ParamError{
-				Method: m.Name, Param: name,
-				Reason: fmt.Sprintf("not a number: %q", vals[0]),
-			}
+			return &repro.ParamError{Method: methodName, Param: name, Reason: fmt.Sprintf("not a number: %q", vals[0])}
 		}
-		req.params[name] = v
 		req.opts = append(req.opts, repro.WithParam(name, v))
 	}
 	if v := q.Get("top"); v != "" {
 		k, err := strconv.Atoi(v)
 		if err != nil {
-			return http.StatusBadRequest, &repro.ParamError{Param: "top", Reason: fmt.Sprintf("not an integer: %q", v)}
+			return &repro.ParamError{Param: "top", Reason: fmt.Sprintf("not an integer: %q", v)}
 		}
 		req.topSet = true
 		req.opts = append(req.opts, repro.WithTopK(k))
@@ -800,31 +776,18 @@ func (s *server) parseRunOptions(r *http.Request, env *envelope, req *runRequest
 	if v := q.Get("frac"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			return http.StatusBadRequest, &repro.ParamError{Param: "frac", Reason: fmt.Sprintf("not a number: %q", v)}
+			return &repro.ParamError{Param: "frac", Reason: fmt.Sprintf("not a number: %q", v)}
 		}
 		req.topSet = true
 		req.opts = append(req.opts, repro.WithTopFraction(f))
 	}
 	if v := q.Get("parallel"); v == "true" || v == "1" {
 		req.parallel = true
+	}
+	if req.parallel {
 		req.opts = append(req.opts, repro.WithParallel())
 	}
-
-	// Response shaping.
-	if v := q.Get("outformat"); v != "" {
-		f, err := repro.LookupFormat(v)
-		if err != nil {
-			return http.StatusBadRequest, err
-		}
-		req.outFormat = f.Name
-	}
-	if req.outFormat == "" {
-		req.outFormat = "csv"
-	}
-	if q.Get("response") == "json" || strings.Contains(r.Header.Get("Accept"), "application/json") {
-		req.asJSON = true
-	}
-	return 0, nil
+	return nil
 }
 
 // cachedScores resolves one method's significance table for a parsed
@@ -852,81 +815,6 @@ func (s *server) cachedScores(ctx context.Context, gkey graphKey, g *repro.Graph
 	})
 }
 
-// intake is the first half of the scoring endpoints' front door: apply
-// the per-request budget and read (and bound) the body. The budget is
-// the smaller of the local -timeout and the propagated
-// X-Backbone-Deadline header (remaining milliseconds, stamped by a
-// forwarding peer or a deadline-aware client); a budget already spent
-// upstream is answered 504 before any byte of work. On failure intake
-// has already written the error response and returns ok == false; on
-// success the caller must cancel with the request. The body is read
-// before worker-pool admission — it is I/O-bound, and draining it lets
-// the connection's background read detect a vanished client while the
-// request queues for a slot.
-func (s *server) intake(w http.ResponseWriter, r *http.Request) (ctx context.Context, cancel context.CancelFunc, body []byte, ok bool) {
-	budget := s.timeout
-	if v := r.Header.Get(fleet.DeadlineHeader); v != "" {
-		ms, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-		switch {
-		case err != nil:
-			// Garbage is ignored, not fatal: the header is advisory and
-			// the local -timeout still bounds the request.
-		case ms <= 0:
-			s.expiredArrivals.Add(1)
-			s.fail(w, http.StatusGatewayTimeout,
-				fmt.Errorf("request budget already expired upstream (%s: %s)", fleet.DeadlineHeader, v))
-			return nil, nil, nil, false
-		default:
-			if d := time.Duration(ms) * time.Millisecond; budget <= 0 || d < budget {
-				budget = d
-			}
-		}
-	}
-	ctx, cancel = r.Context(), func() {}
-	if budget > 0 {
-		ctx, cancel = context.WithTimeout(ctx, budget)
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		defer cancel()
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return nil, nil, nil, false
-		}
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("read body: %v", err))
-		return nil, nil, nil, false
-	}
-	return ctx, cancel, body, true
-}
-
-// acquire is the second half: admission into the adaptive worker pool
-// (internal/admission) under the request's lane and latency cost key.
-// A shed — queue full, queue wait expired, or a budget that cannot
-// cover the observed p90 cost of the work ahead — is a 503 whose
-// Retry-After is computed from queue depth; a budget already expired
-// on arrival is a 504. On ok the caller MUST defer the ticket's
-// Release immediately — a panicking handler must still return its
-// slot, or the pool shrinks by one forever (regression-pinned by
-// TestPanickingHandlerReleasesSlot).
-func (s *server) acquire(ctx context.Context, w http.ResponseWriter, lane admission.Lane, costKey string) (*admission.Ticket, bool) {
-	tk, err := s.limiter.Acquire(ctx, lane, costKey)
-	if err == nil {
-		return tk, true
-	}
-	var shed *admission.ShedError
-	switch {
-	case errors.As(err, &shed):
-		w.Header().Set("Retry-After", strconv.Itoa(shed.RetryAfterSeconds()))
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("worker pool saturated: %w", err))
-	case errors.Is(err, admission.ErrExpired):
-		s.fail(w, http.StatusGatewayTimeout, err)
-	default:
-		s.fail(w, http.StatusInternalServerError, err)
-	}
-	return nil, false
-}
-
 // classifyRun picks the admission lane and latency cost key for a
 // /backbone or /score request before any slot is held. Fast lane means
 // the method's significance table is already cached for this exact
@@ -934,58 +822,44 @@ func (s *server) acquire(ctx context.Context, w http.ResponseWriter, lane admiss
 // requests are never starved behind cold scoring work. (An mmap-served
 // -graphdir body additionally skips parsing, but its first-touch
 // scoring is still cold work; once its table is cached it rides the
-// fast lane like any other hit.) The key derivation mirrors
-// resolveGraph; envelope bodies classify conservatively (their method
-// and directedness live in the unparsed JSON) and land in the cold
-// lane unless the query spells them out.
-func (s *server) classifyRun(r *http.Request, body []byte) (admission.Lane, string) {
-	q := r.URL.Query()
-	method := q.Get("method")
+// fast lane like any other hit.) Envelope bodies classify
+// conservatively: their method and directedness live in the undecoded
+// JSON, so only the query's count.
+func (s *server) classifyRun(c *call) (admission.Lane, string) {
+	method := c.q.Get("method")
 	if method == "" {
 		method = "nc"
 	}
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt
-	}
-	directed := q.Get("directed") == "true" || q.Get("directed") == "1"
-	mode := "sniff"
-	if ct == "application/json" {
-		mode = "envelope"
-	} else {
-		inFormat := q.Get("format")
-		if inFormat == "" {
-			inFormat = contentTypeFormat(ct)
-		}
-		if inFormat != "" {
-			if f, err := repro.LookupFormat(inFormat); err == nil {
-				mode = f.Name
-			}
-		}
-	}
-	gkey := graphKey{sum: sha256.Sum256(body), mode: mode, directed: directed}
-	if s.scores.Contains(scoreKey{g: gkey, method: method}) {
+	if s.scores.Contains(scoreKey{g: c.key, method: method}) {
 		return admission.Fast, "cached"
 	}
 	return admission.Cold, method
 }
 
+// evalMethods is /evaluate's method narrowing from the query: ?methods=
+// (a comma list) wins over ?method= (/backbone's singular spelling); ok
+// is false when the query names neither.
+func evalMethods(q url.Values) (names []string, ok bool) {
+	if v := q.Get("methods"); v != "" {
+		for _, name := range strings.Split(v, ",") {
+			if name = strings.TrimSpace(name); name != "" {
+				names = append(names, name)
+			}
+		}
+		return names, true
+	}
+	if v := q.Get("method"); v != "" {
+		return []string{v}, true
+	}
+	return nil, false
+}
+
 // classifyEvaluate is classifyRun for /evaluate: fast lane only when
 // every selected method's table is cached, i.e. the whole comparison
 // runs without scoring a single edge.
-func (s *server) classifyEvaluate(r *http.Request, body []byte) (admission.Lane, string) {
-	q := r.URL.Query()
-	var methods []string
-	switch {
-	case q.Get("methods") != "":
-		for _, name := range strings.Split(q.Get("methods"), ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				methods = append(methods, name)
-			}
-		}
-	case q.Get("method") != "":
-		methods = []string{q.Get("method")}
-	default:
+func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
+	methods, ok := evalMethods(c.q)
+	if !ok {
 		for _, m := range repro.Methods() {
 			if !m.CanScore() {
 				// An extract-only method has no cacheable table; the
@@ -995,514 +869,157 @@ func (s *server) classifyEvaluate(r *http.Request, body []byte) (admission.Lane,
 			methods = append(methods, m.Name)
 		}
 	}
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt
-	}
-	if ct == "application/json" || len(methods) == 0 {
+	if c.key.mode == "envelope" || len(methods) == 0 {
 		return admission.Cold, "evaluate"
 	}
-	directed := q.Get("directed") == "true" || q.Get("directed") == "1"
-	mode := "sniff"
-	inFormat := q.Get("format")
-	if inFormat == "" {
-		inFormat = contentTypeFormat(ct)
-	}
-	if inFormat != "" {
-		if f, err := repro.LookupFormat(inFormat); err == nil {
-			mode = f.Name
-		}
-	}
-	gkey := graphKey{sum: sha256.Sum256(body), mode: mode, directed: directed}
 	for _, name := range methods {
-		if !s.scores.Contains(scoreKey{g: gkey, method: name}) {
+		if !s.scores.Contains(scoreKey{g: c.key, method: name}) {
 			return admission.Cold, "evaluate"
 		}
 	}
 	return admission.Fast, "cached"
 }
 
-// scoreGate is the last check before scoring work starts: a request
-// whose deadline has already passed is refused here, whatever got it
-// this far (queue wait, parse time, a follower joining a dead
-// leader's flight). The violation counter records a past-deadline
-// start the context machinery had not yet surfaced — the overload e2e
-// asserts it stays zero.
-func (s *server) scoreGate(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		s.expiredBeforeScoring.Add(1)
+// tableSource resolves the selected method's table for the request's
+// graph: the content-addressed score cache for stateless requests, the
+// session's incremental tables for session reads. hit reports that
+// nothing was scored.
+type tableSource func(m *repro.Method, parallel bool) (sc *repro.Scores, hit bool, err error)
+
+// table is the first half of the execute step /backbone, /score and
+// the session reads share. It returns the method's table when one is
+// worth having (nil when the method extracts directly) and whether
+// serving it scored nothing. A precomputed table only helps when
+// something will prune it: top/frac, the method's own Cut rule, or a
+// score response. A scorer without Cut (ds) otherwise runs its
+// Extractor as always. An extract-only method cannot answer a score
+// request; the pipeline names the typed error.
+func (s *server) table(c *call, req *runRequest, scoreOnly bool, src tableSource) (*repro.Scores, bool, error) {
+	if req.method.CanScore() && (scoreOnly || req.topSet || req.method.Cut != nil) {
+		return src(req.method, req.parallel)
+	}
+	if !scoreOnly {
+		return nil, false, nil
+	}
+	if err := s.scoreGate(c.ctx); err != nil {
+		return nil, false, err
+	}
+	if _, err := repro.ScoreContext(c.ctx, req.g, req.opts...); err != nil {
+		return nil, false, err
+	}
+	return nil, false, fmt.Errorf("method %q produced no table", req.method.Name)
+}
+
+// respond is the second half: a score request writes the table, a
+// backbone request prunes it (or extracts) and writes the backbone.
+func (s *server) respond(c *call, req *runRequest, scoreOnly bool, scores *repro.Scores) error {
+	if scoreOnly {
+		c.outcome = admission.OK
+		s.writeScores(c.w, req, scores)
+		return nil
+	}
+	if err := s.scoreGate(c.ctx); err != nil {
 		return err
 	}
-	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-		s.deadlineViolations.Add(1)
-		s.expiredBeforeScoring.Add(1)
-		return context.DeadlineExceeded
+	opts := req.opts
+	if scores != nil {
+		opts = append(opts, repro.WithScores(scores))
 	}
+	res, err := repro.BackboneContext(c.ctx, req.g, opts...)
+	if err != nil {
+		return err
+	}
+	c.outcome = admission.OK
+	s.writeBackbone(c.w, req, res)
 	return nil
 }
 
-// servedByHeader names the peer whose worker pool computed (or cached)
-// the response; degradedHeader appears only when the body's owning
-// peer could not answer and the receiving peer computed the result
-// itself — correctness kept, cache locality lost.
-const (
-	servedByHeader = "X-Backbone-Served-By"
-	degradedHeader = "X-Backbone-Degraded"
-)
-
-// routed applies the fleet routing policy to one scoring request. It
-// returns true when the response has been fully written (the owning
-// peer answered and was relayed, or routing failed terminally); false
-// means the caller should execute locally — either because this peer
-// owns the body, the request already made its one forwarding hop, or
-// the owner is unavailable and the fleet degrades to local execution.
-func (s *server) routed(ctx context.Context, w http.ResponseWriter, r *http.Request, body []byte) (handled bool) {
-	if s.fleet == nil {
-		return false
+func cacheHeader(hit bool) string {
+	if hit {
+		return "hit"
 	}
-	if r.Header.Get(fleet.ForwardedHeader) != "" {
-		// Terminal hop: a peer already routed this request here; serve
-		// it locally whatever our own ring says, so divergent
-		// membership views cannot ping-pong a request.
-		w.Header().Set(servedByHeader, s.fleet.Self())
-		return false
-	}
-	d := fleet.Digest(sha256.Sum256(body))
-	addr := s.fleet.Owner(d)
-	if addr == s.fleet.Self() {
-		w.Header().Set(servedByHeader, addr)
-		return false
-	}
-	resp, err := s.fleet.Forward(ctx, addr, d, r.URL.Path, r.URL.RawQuery,
-		r.Header.Get("Content-Type"), r.Header.Get("Accept"), body)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The request itself is out of budget (client gone or
-			// timeout): local execution could not finish either.
-			s.fail(w, statusFor(ctx.Err()), ctx.Err())
-			return true
-		}
-		// Degrade gracefully: the owner cannot answer, so this peer
-		// computes the result itself. Correctness is never lost on
-		// peer failure — only the owner's cache locality.
-		s.fleet.RecordFallback(addr)
-		reason := "peer-unavailable"
-		if errors.Is(err, resilient.ErrOpen) {
-			reason = "breaker-open"
-		}
-		s.logf("fleet: degrading to local execution for %s (%s): %v", addr, reason, err)
-		w.Header().Set(servedByHeader, s.fleet.Self())
-		w.Header().Set(degradedHeader, reason)
-		return false
-	}
-	for name, vals := range resp.Header {
-		w.Header()[name] = vals
-	}
-	w.Header().Set(servedByHeader, addr)
-	w.WriteHeader(resp.Status)
-	if _, err := w.Write(resp.Body); err != nil {
-		s.logf("fleet: relay response from %s: %v", addr, err)
-	}
-	return true
+	return "miss"
 }
 
-// chaosPartialLimit is how much of a response the partial-fault
-// injector lets through before aborting the connection.
-const chaosPartialLimit = 64
-
-// chaosWriter truncates the response after a byte budget and aborts
-// the connection (http.ErrAbortHandler unwinds through the handler and
-// net/http closes the stream mid-body) — the partial-response failure
-// a forwarding peer must detect and fall back from.
-type chaosWriter struct {
-	http.ResponseWriter
-	remaining int
-}
-
-func (cw *chaosWriter) Write(p []byte) (int, error) {
-	if len(p) <= cw.remaining {
-		cw.remaining -= len(p)
-		return cw.ResponseWriter.Write(p)
-	}
-	cw.ResponseWriter.Write(p[:cw.remaining]) //nolint:errcheck // aborting anyway
-	cw.remaining = 0
-	if f, ok := cw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-	panic(http.ErrAbortHandler)
-}
-
-// chaos applies the -chaos fault hooks to the local serving path:
-// injected latency/errors before any work, and a truncating writer
-// afterwards. It reports whether the request was failed by injection,
-// and the (possibly wrapped) writer to respond through.
-func (s *server) chaos(ctx context.Context, w http.ResponseWriter) (http.ResponseWriter, bool) {
-	if s.fault == nil {
-		return w, false
-	}
-	if err := s.fault.Inject(ctx); err != nil {
-		s.fail(w, statusFor(err), err)
-		return w, true
-	}
-	if s.fault.Partial() {
-		w = &chaosWriter{ResponseWriter: w, remaining: chaosPartialLimit}
-	}
-	return w, false
-}
-
-// handleRun serves POST /backbone and POST /score: per-request
-// timeout, read+hash the body, fleet routing (forward to the digest's
-// owning peer, or fall back local), admission into the bounded worker
-// pool, parse (through the graph cache), score (through the score
-// cache), prune, respond. Only the body read and the forward happen
-// before admission — forwarding must not hold a local worker slot
-// hostage to a remote peer's latency, or a slow peer would saturate
-// this pool too and couple the failure domains the fleet exists to
-// separate. Parsing is multi-core since the chunked codec, so it runs
-// inside the pool with the scoring it feeds. X-Backbone-Cache reports
-// "hit" when a cached table let the request skip both parsing and
-// scoring, else "miss".
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", r.URL.Path))
-		return
-	}
-	s.requests.Add(1)
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.routed(ctx, w, r, body) {
-		return
-	}
-	lane, costKey := s.classifyRun(r, body)
-	tk, ok := s.acquire(ctx, w, lane, costKey)
-	if !ok {
-		return
-	}
-	// The outcome feeds the AIMD controller: OK completions are
-	// latency evidence, a deadline death mid-execution is a congestion
-	// signal, everything else (caller mistakes, panics, vanished
-	// clients) is noise.
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	done := func(status int, err error) {
-		if status == http.StatusGatewayTimeout {
-			outcome = admission.Timeout
+// runStateless executes POST /backbone or /score on the resolved body:
+// score through the score cache, prune, respond. X-Backbone-Cache
+// reports "hit" when a cached table let the request skip both parsing
+// and scoring, else "miss".
+func (s *server) runStateless(scoreOnly bool) func(*call) error {
+	return func(c *call) error {
+		outFormat := c.key.mode
+		if outFormat == "sniff" || outFormat == "envelope" {
+			outFormat = ""
 		}
-		s.fail(w, status, err)
-	}
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	req, status, err := s.parseRun(ctx, r, body)
-	if err != nil {
-		done(status, err)
-		return
-	}
-
-	scoreOnly := strings.HasPrefix(r.URL.Path, "/score")
-	if scoreOnly {
-		// The cached-scores path skips ScoreContext, so reproduce its
-		// caller-mistake checks here: no pruning options, and every
-		// parameter override must be declared by the method.
-		if req.topSet {
-			done(http.StatusInternalServerError, errors.New("repro: Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"))
-			return
-		}
-		if _, err := req.method.Resolve(req.params); err != nil {
-			done(statusFor(err), err)
-			return
-		}
-	}
-
-	// A precomputed table only helps when something will prune it:
-	// top/frac, the method's own Cut rule, or a /score response. A
-	// scorer without Cut (ds) otherwise runs its Extractor as always.
-	useTable := req.method.CanScore() && (scoreOnly || req.topSet || req.method.Cut != nil)
-	var scores *repro.Scores
-	cacheState := "miss"
-	if useTable {
-		sc, hit, err := s.cachedScores(ctx, req.gkey, req.g, req.method.Name, req.parallel)
+		req, err := parseRun(c, outFormat, scoreOnly)
 		if err != nil {
-			done(statusFor(err), err)
-			return
+			return err
 		}
-		scores = sc
-		if hit {
-			cacheState = "hit"
+		req.g = c.g
+		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method, parallel bool) (*repro.Scores, bool, error) {
+			return s.cachedScores(c.ctx, c.key, c.g, m.Name, parallel)
+		})
+		if err != nil {
+			return err
 		}
-		// A cached table references its own (identical-content) graph;
-		// downstream pruning and coverage must use that same value.
-		req.g = sc.G
-	} else if scoreOnly {
-		// Extract-only methods cannot serve /score; surface the typed
-		// error exactly as the pipeline would.
-		var serr error
-		if serr = s.scoreGate(ctx); serr == nil {
-			_, serr = repro.ScoreContext(ctx, req.g, req.opts...)
-			if serr == nil {
-				serr = fmt.Errorf("method %q produced no table", req.method.Name)
-			}
+		if scores != nil {
+			// A cached table references its own (identical-content)
+			// graph; pruning and coverage must use that same value.
+			req.g = scores.G
 		}
-		done(statusFor(serr), serr)
-		return
+		c.w.Header().Set("X-Backbone-Cache", cacheHeader(hit))
+		return s.respond(c, req, scoreOnly, scores)
 	}
-	w.Header().Set("X-Backbone-Cache", cacheState)
-
-	if scoreOnly {
-		outcome = admission.OK
-		s.writeScores(w, req, scores)
-		return
-	}
-	if err := s.scoreGate(ctx); err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	runOpts := req.opts
-	if scores != nil {
-		runOpts = append(runOpts, repro.WithScores(scores))
-	}
-	res, err := repro.BackboneContext(ctx, req.g, runOpts...)
-	if err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	outcome = admission.OK
-	s.writeBackbone(w, req, res)
 }
 
-// evalReserved are the query keys with fixed meanings on /evaluate;
-// every other key must name a parameter of some selected method.
-// "outformat" and "response" are accepted no-ops (the report is always
-// JSON) so clients can carry /backbone query habits over.
-var evalReserved = map[string]bool{
-	"method": true, "methods": true, "top": true, "frac": true,
-	"parallel": true, "directed": true, "format": true,
-	"outformat": true, "response": true,
-}
-
-// handleEvaluate serves POST /evaluate: one registry-wide, size-matched
-// method comparison of the body's network as a JSON report. It shares
-// the front door (timeout, body bound, worker pool — so 413/499/503/504
-// behave exactly like /backbone), the content-addressed graph cache,
-// and the per-(body, method) score cache: re-evaluating a cached body
-// skips scoring entirely, which the X-Backbone-Cache: hit header and
-// the /statsz evaluate counters report.
-func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", r.URL.Path))
-		return
-	}
-	s.requests.Add(1)
-	s.evalRequests.Add(1)
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.routed(ctx, w, r, body) {
-		return
-	}
-	lane, costKey := s.classifyEvaluate(r, body)
-	tk, ok := s.acquire(ctx, w, lane, costKey)
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	done := func(status int, err error) {
-		if status == http.StatusGatewayTimeout {
-			outcome = admission.Timeout
-		}
-		s.fail(w, status, err)
-	}
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	g, gkey, env, _, status, err := s.resolveGraph(ctx, r, body)
-	if err != nil {
-		done(status, err)
-		return
-	}
-
-	// Method narrowing: ?methods= (comma list) wins, then ?method=
-	// (/backbone's singular spelling), then the envelope's method field;
+// evaluate executes POST /evaluate: one registry-wide, size-matched
+// method comparison of the body's network as a JSON report. Every
+// method's table resolves through the shared score cache, so tables
+// computed by earlier /backbone, /score or /evaluate calls on the same
+// body are reused (X-Backbone-Cache: hit when all were) and concurrent
+// identical evaluations coalesce per method.
+func (s *server) evaluate(c *call) error {
+	// Method narrowing: the query's, then the envelope's method field;
 	// with none of them every registered method is compared. Name
 	// validation is the engine's (unknown method → 400 via statusFor).
-	q := r.URL.Query()
-	var methods []string
-	switch {
-	case q.Get("methods") != "":
-		for _, name := range strings.Split(q.Get("methods"), ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				methods = append(methods, name)
-			}
-		}
-	case q.Get("method") != "":
-		methods = []string{q.Get("method")}
-	case env != nil && env.Method != "":
-		methods = []string{env.Method}
+	methods, ok := evalMethods(c.q)
+	if !ok && c.env != nil && c.env.Method != "" {
+		methods = []string{c.env.Method}
 	}
-	if err := s.scoreGate(ctx); err != nil {
-		done(statusFor(err), err)
-		return
+	if err := s.scoreGate(c.ctx); err != nil {
+		return err
 	}
 	// Concurrency 1: one admitted /evaluate request runs at most one
 	// scoring computation at a time, so -workers stays an honest cap on
 	// concurrent scoring regardless of how many methods are compared.
-	opts := []repro.Option{repro.WithEvalConcurrency(1)}
+	req := &runRequest{opts: []repro.Option{repro.WithEvalConcurrency(1)}}
 	if len(methods) > 0 {
-		opts = append(opts, repro.WithMethods(methods...))
+		req.opts = append(req.opts, repro.WithMethods(methods...))
 	}
-
-	// Parameters and pruning: envelope fields first, query overrides —
-	// the same precedence as /backbone. Ride-along declaration (at
-	// least one selected method must declare each parameter) is
-	// enforced by the engine and maps to 400.
-	parallel := q.Get("parallel") == "true" || q.Get("parallel") == "1"
-	if env != nil {
-		parallel = parallel || env.Parallel
-		for name, v := range env.Params {
-			opts = append(opts, repro.WithParam(name, v))
-		}
-		if env.Top != nil && q.Get("top") == "" && q.Get("frac") == "" {
-			opts = append(opts, repro.WithTopK(*env.Top))
-		}
-		if env.Frac != nil && q.Get("top") == "" && q.Get("frac") == "" {
-			opts = append(opts, repro.WithTopFraction(*env.Frac))
-		}
+	if err := req.addOptions(c.q, c.env); err != nil {
+		return err
 	}
-	if parallel {
-		opts = append(opts, repro.WithParallel())
-	}
-	for name, vals := range q {
-		if evalReserved[name] {
-			continue
-		}
-		v, err := strconv.ParseFloat(vals[0], 64)
-		if err != nil {
-			done(http.StatusBadRequest, &repro.ParamError{
-				Param: name, Reason: fmt.Sprintf("not a number: %q", vals[0]),
-			})
-			return
-		}
-		opts = append(opts, repro.WithParam(name, v))
-	}
-	if v := q.Get("top"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil {
-			done(http.StatusBadRequest, &repro.ParamError{Param: "top", Reason: fmt.Sprintf("not an integer: %q", v)})
-			return
-		}
-		opts = append(opts, repro.WithTopK(k))
-	}
-	if v := q.Get("frac"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			done(http.StatusBadRequest, &repro.ParamError{Param: "frac", Reason: fmt.Sprintf("not a number: %q", v)})
-			return
-		}
-		opts = append(opts, repro.WithTopFraction(f))
-	}
-
-	// Every method's table resolves through the shared score cache, so
-	// tables computed by earlier /backbone, /score or /evaluate calls on
-	// the same body are reused and concurrent identical evaluations
-	// coalesce per method.
-	opts = append(opts, repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-		return s.cachedScores(ctx, gkey, g, m.Name, parallel)
+	req.opts = append(req.opts, repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
+		return s.cachedScores(ctx, c.key, c.g, m.Name, req.parallel)
 	}))
-
-	rep, err := repro.CompareContext(ctx, g, opts...)
+	rep, err := repro.CompareContext(c.ctx, c.g, req.opts...)
 	if err != nil {
-		done(statusFor(err), err)
-		return
+		return err
 	}
-	outcome = admission.OK
+	c.outcome = admission.OK
 	s.evalCacheSkips.Add(uint64(rep.CacheHits))
 
-	cacheState := "miss"
-	if rep.ScoredMethods > 0 && rep.CacheHits == rep.ScoredMethods {
-		cacheState = "hit" // every needed table was cached: zero scoring ran
-	}
-	w.Header().Set("X-Backbone-Cache", cacheState)
-	w.Header().Set("X-Backbone-Eval-Methods", strconv.Itoa(len(rep.Methods)))
-	w.Header().Set("X-Backbone-Eval-Scored", strconv.Itoa(rep.ScoredMethods))
-	w.Header().Set("X-Backbone-Eval-Cached", strconv.Itoa(rep.CacheHits))
-	w.Header().Set("X-Backbone-Duration-Ms", strconv.FormatInt(rep.DurationMs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(rep); err != nil {
+	// Hit means every needed table was cached: zero scoring ran.
+	c.w.Header().Set("X-Backbone-Cache", cacheHeader(rep.ScoredMethods > 0 && rep.CacheHits == rep.ScoredMethods))
+	c.w.Header().Set("X-Backbone-Eval-Methods", strconv.Itoa(len(rep.Methods)))
+	c.w.Header().Set("X-Backbone-Eval-Scored", strconv.Itoa(rep.ScoredMethods))
+	c.w.Header().Set("X-Backbone-Eval-Cached", strconv.Itoa(rep.CacheHits))
+	c.w.Header().Set("X-Backbone-Duration-Ms", strconv.FormatInt(rep.DurationMs, 10))
+	c.w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(c.w).Encode(rep); err != nil {
 		s.logf("write evaluate response: %v", err)
 	}
-}
-
-// handleStatsz reports process uptime, request count, cache counters
-// and — in fleet mode — per-peer forwarding/breaker counters as JSON:
-// the daemon's operational introspection endpoint.
-func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	out := map[string]any{
-		"uptime_seconds": int64(time.Since(s.start).Seconds()),
-		"requests":       s.requests.Load(),
-		"draining":       s.draining.Load(),
-		"graph_cache":    s.graphs.Stats(),
-		"score_cache":    s.scores.Stats(),
-		"evaluate": map[string]uint64{
-			"requests":    s.evalRequests.Load(),
-			"cache_skips": s.evalCacheSkips.Load(),
-		},
-		"sessions": map[string]any{
-			"active":              s.sessionCount(),
-			"creates":             s.sessionCreates.Load(),
-			"updates":             s.sessionUpdates.Load(),
-			"reads":               s.sessionReads.Load(),
-			"deletes":             s.sessionDeletes.Load(),
-			"evictions":           s.sessionEvictions.Load(),
-			"delta_invalidations": s.sessionInvalidations.Load(),
-			"rescored_rows":       s.sessionRescoredRows.Load(),
-			"full_rescores":       s.sessionFullRescores.Load(),
-			"owner_unavailable":   s.sessionOwnerMiss.Load(),
-		},
-		"admission": struct {
-			admission.Stats
-			ExpiredArrivals      uint64 `json:"expired_arrivals"`
-			ExpiredBeforeScoring uint64 `json:"expired_before_scoring"`
-			DeadlineViolations   uint64 `json:"deadline_violations"`
-		}{
-			Stats:                s.limiter.Stats(),
-			ExpiredArrivals:      s.expiredArrivals.Load(),
-			ExpiredBeforeScoring: s.expiredBeforeScoring.Load(),
-			DeadlineViolations:   s.deadlineViolations.Load(),
-		},
-	}
-	if s.graphDir != "" {
-		out["mmap"] = map[string]any{
-			"hits":         s.mmapHits.Load(),
-			"misses":       s.mmapMisses.Load(),
-			"errors":       s.mmapErrors.Load(),
-			"graphs":       s.mmapLoads.Load(),
-			"sections":     s.mmapSections.Load(),
-			"mapped_bytes": s.mmapBytes.Load(),
-		}
-	}
-	if s.fleet != nil {
-		out["fleet"] = map[string]any{
-			"self":  s.fleet.Self(),
-			"peers": s.fleet.Stats(),
-		}
-	}
-	if s.fault != nil {
-		out["fault_injection"] = s.fault.Stats()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	return nil
 }
 
 // responseContentType maps a registered format name to its media type.

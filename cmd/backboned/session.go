@@ -22,7 +22,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -33,7 +32,6 @@ import (
 	"repro"
 	"repro/internal/admission"
 	"repro/internal/filter"
-	"repro/internal/fleet"
 	"repro/internal/graph"
 )
 
@@ -160,118 +158,55 @@ func (s *server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// sessionRouted applies fleet policy to one session request. Stateful
-// routes differ from routed() in two ways: the routing digest comes
-// from the session ID (not the request body), and there is no degrade
-// to local execution — only the rendezvous owner holds the delta, so
-// an unreachable owner is a 503 the client retries, never a silently
-// diverging answer. flightSum keys forward coalescing: reads pass the
-// session digest (identical concurrent reads may legally share one
-// upstream response), updates pass the update body's own digest (set
-// semantics make identical bodies idempotent, distinct bodies must
-// not coalesce).
-func (s *server) sessionRouted(ctx context.Context, w http.ResponseWriter, r *http.Request, sum, flightSum [sha256.Size]byte, body []byte) (handled bool) {
-	if s.fleet == nil {
-		return false
-	}
-	if r.Header.Get(fleet.ForwardedHeader) != "" {
-		w.Header().Set(servedByHeader, s.fleet.Self())
-		return false
-	}
-	addr := s.fleet.Owner(fleet.Digest(sum))
-	if addr == s.fleet.Self() {
-		w.Header().Set(servedByHeader, addr)
-		return false
-	}
-	resp, err := s.fleet.ForwardRequest(ctx, addr, fleet.Digest(flightSum), r.Method,
-		r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), r.Header.Get("Accept"), body)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.fail(w, statusFor(ctx.Err()), ctx.Err())
-			return true
-		}
-		s.sessionOwnerMiss.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusServiceUnavailable,
-			fmt.Errorf("session owner %s unavailable (sessions do not degrade): %v", addr, err))
-		return true
-	}
-	for name, vals := range resp.Header {
-		w.Header()[name] = vals
-	}
-	w.Header().Set(servedByHeader, addr)
-	w.WriteHeader(resp.Status)
-	if _, err := w.Write(resp.Body); err != nil {
-		s.logf("fleet: relay session response from %s: %v", addr, err)
-	}
-	return true
+// fixedLane classifies an op whose lane and cost key never depend on
+// the request.
+func fixedLane(lane admission.Lane, costKey string) func(*call) (admission.Lane, string) {
+	return func(*call) (admission.Lane, string) { return lane, costKey }
 }
 
-// handleSessionCreate serves POST /session: parse the body exactly as
-// POST /backbone would (content-addressed graph cache included), pin a
-// delta overlay over the result, and answer with the session ID.
-func (s *server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
+// lookupSession resolves the session a /session/{id} route names.
+func (s *server) lookupSession(c *call) error {
+	if c.sess = s.getSession(c.id); c.sess == nil {
+		return errorf(http.StatusNotFound, "unknown session %q", c.id)
 	}
-	defer cancel()
-	if s.fleet != nil {
-		sum := sha256.Sum256(body)
-		if s.sessionRouted(ctx, w, r, sum, sum, body) {
-			return
-		}
-	}
-	tk, ok := s.acquire(ctx, w, admission.Cold, "session-create")
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
+	return nil
+}
 
-	g, gkey, _, _, status, err := s.resolveGraph(ctx, r, body)
+// createSession executes POST /session on the body resolved exactly as
+// POST /backbone resolves it (content-addressed graph cache included):
+// pin a delta overlay over the graph and answer with the session ID.
+func (s *server) createSession(c *call) error {
+	id, err := newSessionID(c.sum)
 	if err != nil {
-		s.fail(w, status, err)
-		return
+		return err
 	}
-	id, err := newSessionID(gkey.sum)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	now := time.Now()
 	// Exclusive delta: sess.mu serializes every read/update cycle and
 	// the session retains nothing beyond the latest materialization and
 	// per-method table, so each generation's arrays are recycled in
 	// place instead of copied (graph.Delta.SetExclusive).
-	delta := graph.NewDelta(g, 0)
+	delta := graph.NewDelta(c.g, 0)
 	delta.SetExclusive(true)
-	sess := &session{
+	s.putSession(&session{
 		id:      id,
-		sum:     gkey.sum,
+		sum:     c.sum,
 		delta:   delta,
-		g:       g,
+		g:       c.g,
 		tables:  map[string]*sessionTable{},
-		created: now,
-	}
-	s.putSession(sess)
+		created: time.Now(),
+	})
 	s.sessionCreates.Add(1)
 
-	outcome = admission.OK
-	w.Header().Set("Location", "/session/"+id)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(map[string]any{
+	c.outcome = admission.OK
+	c.w.Header().Set("Location", "/session/"+id)
+	c.w.Header().Set("Content-Type", "application/json")
+	c.w.WriteHeader(http.StatusCreated)
+	json.NewEncoder(c.w).Encode(map[string]any{
 		"session":  id,
-		"nodes":    g.NumNodes(),
-		"edges":    g.NumEdges(),
-		"directed": g.Directed(),
+		"nodes":    c.g.NumNodes(),
+		"edges":    c.g.NumEdges(),
+		"directed": c.g.Directed(),
 	})
+	return nil
 }
 
 // sessionUpdateBody is the POST /session/{id}/update wire form. Edges
@@ -287,52 +222,20 @@ type sessionUpdateEdge struct {
 	Weight *float64 `json:"weight"`
 }
 
-// handleSessionUpdate serves POST /session/{id}/update: batched edge
+// updateSession executes POST /session/{id}/update: batched edge
 // upserts/deletes into the session's delta overlay. No scoring runs
 // here — dirtiness is recorded and the next read pays only for the
 // rows it invalidated.
-func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	id := r.PathValue("id")
-	sum, ok := parseSessionID(id)
-	if !ok {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed session id %q", id))
-		return
-	}
-	ctx, cancel, body, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.sessionRouted(ctx, w, r, sum, sha256.Sum256(body), body) {
-		return
-	}
-	tk, ok := s.acquire(ctx, w, admission.Fast, "session-update")
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	sess := s.getSession(id)
-	if sess == nil {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
-		return
-	}
+func (s *server) updateSession(c *call) error {
 	var ub sessionUpdateBody
-	if err := json.Unmarshal(body, &ub); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad update body: %v", err))
-		return
+	if err := json.Unmarshal(c.body, &ub); err != nil {
+		return errorf(http.StatusBadRequest, "bad update body: %v", err)
 	}
 	if len(ub.Updates) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New(`update body has no updates (want {"updates":[{"src":...,"dst":...,"weight":...}]})`))
-		return
+		return errorf(http.StatusBadRequest, `update body has no updates (want {"updates":[{"src":...,"dst":...,"weight":...}]})`)
 	}
 
+	sess := c.sess
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	base := sess.delta.Base()
@@ -340,13 +243,11 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	for i, e := range ub.Updates {
 		src := base.NodeID(e.Src)
 		if src < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("updates[%d].src: unknown node %q", i, e.Src))
-			return
+			return errorf(http.StatusBadRequest, "updates[%d].src: unknown node %q", i, e.Src)
 		}
 		dst := base.NodeID(e.Dst)
 		if dst < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("updates[%d].dst: unknown node %q", i, e.Dst))
-			return
+			return errorf(http.StatusBadRequest, "updates[%d].dst: unknown node %q", i, e.Dst)
 		}
 		var weight float64
 		if e.Weight != nil {
@@ -355,20 +256,20 @@ func (s *server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 		ups = append(ups, graph.Update{Src: int32(src), Dst: int32(dst), Weight: weight})
 	}
 	if err := sess.delta.Apply(ups); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return &httpError{http.StatusBadRequest, err}
 	}
 	sess.applied += uint64(len(ups))
 	s.sessionUpdates.Add(1)
 
-	outcome = admission.OK
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"session":       id,
+	c.outcome = admission.OK
+	c.w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(c.w).Encode(map[string]any{
+		"session":       c.id,
 		"applied":       len(ups),
 		"pending":       sess.delta.Pending(),
 		"updates_total": sess.applied,
 	})
+	return nil
 }
 
 // advance materializes the session's delta and folds the resulting
@@ -456,9 +357,13 @@ func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Grap
 // classifySessionRead picks the admission lane for a session read:
 // fast when the method's table already exists in the session (the read
 // is a frontier rescore plus serialization), cold on first touch.
-func (s *server) classifySessionRead(id, method string) (admission.Lane, string) {
+func (s *server) classifySessionRead(c *call) (admission.Lane, string) {
+	method := c.q.Get("method")
+	if method == "" {
+		method = "nc"
+	}
 	s.sessMu.Lock()
-	sess := s.sessions[id]
+	sess := s.sessions[c.id]
 	s.sessMu.Unlock()
 	if sess == nil {
 		return admission.Fast, "session-read" // 404s should not queue behind scoring
@@ -473,149 +378,47 @@ func (s *server) classifySessionRead(id, method string) (admission.Lane, string)
 	return admission.Cold, method
 }
 
-// handleSessionRead serves GET /session/{id}/backbone and /score: the
+// readSession executes GET /session/{id}/backbone and /score: the
 // stateless /backbone | /score contract evaluated against the
 // session's current (base + updates) edge set, incrementally.
-func (s *server) handleSessionRead(w http.ResponseWriter, r *http.Request, scoreOnly bool) {
-	s.requests.Add(1)
-	id := r.PathValue("id")
-	sum, ok := parseSessionID(id)
-	if !ok {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed session id %q", id))
-		return
-	}
-	ctx, cancel, _, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.sessionRouted(ctx, w, r, sum, sum, nil) {
-		return
-	}
-	methodName := r.URL.Query().Get("method")
-	if methodName == "" {
-		methodName = "nc"
-	}
-	lane, costKey := s.classifySessionRead(id, methodName)
-	tk, ok := s.acquire(ctx, w, lane, costKey)
-	if !ok {
-		return
-	}
-	outcome := admission.Errored
-	defer func() { tk.Release(outcome) }()
-	done := func(status int, err error) {
-		if status == http.StatusGatewayTimeout {
-			outcome = admission.Timeout
-		}
-		s.fail(w, status, err)
-	}
-	w, failed := s.chaos(ctx, w)
-	if failed {
-		return
-	}
-
-	sess := s.getSession(id)
-	if sess == nil {
-		done(http.StatusNotFound, fmt.Errorf("unknown session %q", id))
-		return
-	}
-	req := &runRequest{}
-	if status, err := s.parseRunOptions(r, nil, req); err != nil {
-		done(status, err)
-		return
-	}
-	if scoreOnly {
-		if req.topSet {
-			done(http.StatusInternalServerError, errors.New("repro: Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"))
-			return
-		}
-		if _, err := req.method.Resolve(req.params); err != nil {
-			done(statusFor(err), err)
-			return
-		}
-	}
-
-	s.sessionReads.Add(1)
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	g, invalidated := sess.advance()
-	if invalidated > 0 {
-		s.sessionInvalidations.Add(uint64(invalidated))
-	}
-	req.g = g
-
-	useTable := req.method.CanScore() && (scoreOnly || req.topSet || req.method.Cut != nil)
-	var scores *repro.Scores
-	rescored := 0
-	if useTable {
-		sc, n, err := s.sessionScores(ctx, sess, g, req.method, req.parallel)
+// X-Backbone-Rescored reports the rows this read re-scored.
+func (s *server) readSession(scoreOnly bool) func(*call) error {
+	return func(c *call) error {
+		req, err := parseRun(c, "", scoreOnly)
 		if err != nil {
-			done(statusFor(err), err)
-			return
+			return err
 		}
-		scores, rescored = sc, n
-	} else if scoreOnly {
-		var serr error
-		if serr = s.scoreGate(ctx); serr == nil {
-			_, serr = repro.ScoreContext(ctx, g, req.opts...)
-			if serr == nil {
-				serr = fmt.Errorf("method %q produced no table", req.method.Name)
-			}
+		s.sessionReads.Add(1)
+		sess := c.sess
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		g, invalidated := sess.advance()
+		if invalidated > 0 {
+			s.sessionInvalidations.Add(uint64(invalidated))
 		}
-		done(statusFor(serr), serr)
-		return
+		req.g = g
+		rescored := 0
+		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method, parallel bool) (*repro.Scores, bool, error) {
+			sc, n, err := s.sessionScores(c.ctx, sess, g, m, parallel)
+			rescored = n
+			return sc, n == 0, err
+		})
+		if err != nil {
+			return err
+		}
+		c.w.Header().Set("X-Backbone-Cache", cacheHeader(hit))
+		c.w.Header().Set("X-Backbone-Session", c.id)
+		c.w.Header().Set("X-Backbone-Rescored", strconv.Itoa(rescored))
+		return s.respond(c, req, scoreOnly, scores)
 	}
-	cacheState := "miss"
-	if scores != nil && rescored == 0 {
-		cacheState = "hit"
-	}
-	w.Header().Set("X-Backbone-Cache", cacheState)
-	w.Header().Set("X-Backbone-Session", id)
-	w.Header().Set("X-Backbone-Rescored", strconv.Itoa(rescored))
-
-	if scoreOnly {
-		outcome = admission.OK
-		s.writeScores(w, req, scores)
-		return
-	}
-	if err := s.scoreGate(ctx); err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	runOpts := req.opts
-	if scores != nil {
-		runOpts = append(runOpts, repro.WithScores(scores))
-	}
-	res, err := repro.BackboneContext(ctx, g, runOpts...)
-	if err != nil {
-		done(statusFor(err), err)
-		return
-	}
-	outcome = admission.OK
-	s.writeBackbone(w, req, res)
 }
 
-// handleSessionDelete serves DELETE /session/{id}.
-func (s *server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	id := r.PathValue("id")
-	sum, ok := parseSessionID(id)
-	if !ok {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed session id %q", id))
-		return
-	}
-	ctx, cancel, _, ok := s.intake(w, r)
-	if !ok {
-		return
-	}
-	defer cancel()
-	if s.sessionRouted(ctx, w, r, sum, sum, nil) {
-		return
-	}
-	if !s.dropSession(id) {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
-		return
+// deleteSession executes DELETE /session/{id}. It holds no worker slot.
+func (s *server) deleteSession(c *call) error {
+	if !s.dropSession(c.id) {
+		return errorf(http.StatusNotFound, "unknown session %q", c.id)
 	}
 	s.sessionDeletes.Add(1)
-	w.WriteHeader(http.StatusNoContent)
+	c.w.WriteHeader(http.StatusNoContent)
+	return nil
 }

@@ -42,7 +42,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestParallelSmallGraphFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := gen.ErdosRenyiGNM(rng, 50, 100)
-	s, err := NewParallel().Scores(g)
+	s, err := filter.Parallelize(New()).Scores(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func BenchmarkParallelNC100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewParallel().Scores(g); err != nil {
+		if _, err := filter.Parallelize(New()).Scores(g); err != nil {
 			b.Fatal(err)
 		}
 	}

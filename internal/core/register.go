@@ -19,8 +19,15 @@ func init() {
 		Params: []filter.Param{
 			{Name: "delta", Default: 1.64, Desc: "significance threshold in standard deviations (1.28/1.64/2.32 ≈ p 0.10/0.05/0.01)"},
 		},
-		Scorer:         New(),
-		ParallelScorer: NewParallel(),
+		Scorer: New(),
+		// Edge scores are independent given the precomputed node
+		// strengths, so NC is embarrassingly parallel — the paper's
+		// scalability regime ("exploring improvements in the
+		// implementation ... could lead to its potential application
+		// to networks with billions of edges", Section VII). Both
+		// scorers run the same per-edge kernel, so results are
+		// bit-identical to the serial one.
+		ParallelScorer: filter.Parallelize(New()),
 		Cut:            func(p filter.Params) float64 { return p["delta"] },
 		// The NC score reads the global total weight (N..), so any
 		// update dirties every row: incremental serving reuses the

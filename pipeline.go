@@ -366,16 +366,8 @@ func Score(g *Graph, opts ...Option) (*Scores, error) {
 // ScoreContext is Score under a context, with the same cancellation
 // semantics as BackboneContext.
 func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error) {
-	c, m, err := resolve(opts)
+	c, m, err := scoreConfig(opts)
 	if err != nil {
-		return nil, err
-	}
-	if c.topKSet || c.fracSet {
-		return nil, fmt.Errorf("repro: Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK")
-	}
-	// Parameters only shift thresholds, never the table itself, but an
-	// undeclared parameter still signals a caller bug.
-	if _, err := m.Resolve(c.params); err != nil {
 		return nil, err
 	}
 	so := filter.ScoreOpts{Parallel: c.parallel, Progress: c.progress}
@@ -390,6 +382,38 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 		return s, err
 	}
 	return m.ScoreCtx(ctx, g, so)
+}
+
+// ValidateScore runs the option checks Score makes before any work and
+// returns the error Score would return for opts, or nil: an unknown
+// method or parameter, or a pruning option. A server that answers Score
+// from a cached table calls it to reject exactly what Score rejects.
+func ValidateScore(opts ...Option) error {
+	_, _, err := scoreConfig(opts)
+	return err
+}
+
+// scoreConfig resolves Score's options. Pruning is a *ParamError, since
+// a table is never pruned; an undeclared parameter is one too, because
+// although parameters never change the table, naming one the method
+// lacks is a caller bug.
+func scoreConfig(opts []Option) (*config, *Method, error) {
+	c, m, err := resolve(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.topKSet || c.fracSet {
+		param := "top"
+		if !c.topKSet {
+			param = "frac"
+		}
+		return nil, nil, &ParamError{Method: m.Name, Param: param,
+			Reason: "Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"}
+	}
+	if _, err := m.Resolve(c.params); err != nil {
+		return nil, nil, err
+	}
+	return c, m, nil
 }
 
 // BackboneAll runs several methods concurrently on the same graph and

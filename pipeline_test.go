@@ -65,45 +65,6 @@ func TestLookupUnknownMethod(t *testing.T) {
 	}
 }
 
-// TestPipelineMatchesDeprecatedHelpers: the options pipeline reproduces
-// the flat per-method helpers edge for edge.
-func TestPipelineMatchesDeprecatedHelpers(t *testing.T) {
-	g := pipelineGraph(t)
-	type pair struct {
-		name string
-		old  func() (*Graph, error)
-		opts []Option
-	}
-	for _, p := range []pair{
-		{"nc", func() (*Graph, error) { return NCBackbone(g, 1.64) }, []Option{WithMethod("nc"), WithDelta(1.64)}},
-		{"df", func() (*Graph, error) { return DisparityBackbone(g, 0.3) }, []Option{WithMethod("df"), WithAlpha(0.3)}},
-		{"hss", func() (*Graph, error) { return HSSBackbone(g, 0.3) }, []Option{WithMethod("hss"), WithSalience(0.3)}},
-		{"ds", func() (*Graph, error) { return DoublyStochasticBackbone(g) }, []Option{WithMethod("ds")}},
-		{"mst", func() (*Graph, error) { return MaximumSpanningTree(g) }, []Option{WithMethod("mst")}},
-		{"nt", func() (*Graph, error) { return NaiveBackbone(g, 5) }, []Option{WithMethod("nt"), WithWeightThreshold(5)}},
-		{"kcore", func() (*Graph, error) { return KCoreBackbone(g, 3) }, []Option{WithMethod("kcore"), WithK(3)}},
-	} {
-		want, err := p.old()
-		if err != nil {
-			t.Fatalf("%s helper: %v", p.name, err)
-		}
-		res, err := Backbone(g, p.opts...)
-		if err != nil {
-			t.Fatalf("%s pipeline: %v", p.name, err)
-		}
-		if got := res.Backbone; got.NumEdges() != want.NumEdges() {
-			t.Errorf("%s: pipeline kept %d edges, helper %d", p.name, got.NumEdges(), want.NumEdges())
-		} else {
-			ws := want.EdgeSet()
-			for k := range res.Backbone.EdgeSet() {
-				if !ws[k] {
-					t.Errorf("%s: pipeline kept edge %v the helper dropped", p.name, k)
-				}
-			}
-		}
-	}
-}
-
 func TestBackboneResultMetadata(t *testing.T) {
 	g := pipelineGraph(t)
 	res, err := Backbone(g, WithDelta(1.0))
@@ -173,6 +134,26 @@ func TestPipelineOptionValidation(t *testing.T) {
 	}
 	if _, err := Score(g, WithTopFraction(0.5)); err == nil {
 		t.Error("Score accepted WithTopFraction")
+	}
+}
+
+// TestScorePruningIsParamError: Score's refusal to prune is a typed
+// caller mistake, and ValidateScore returns the same error without
+// scoring.
+func TestScorePruningIsParamError(t *testing.T) {
+	g := pipelineGraph(t)
+	for _, opt := range []Option{WithTopK(3), WithTopFraction(0.5)} {
+		_, err := Score(g, WithMethod("df"), opt)
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Method != "df" {
+			t.Fatalf("Score with pruning: %v, want a *ParamError for df", err)
+		}
+		if verr := ValidateScore(WithMethod("df"), opt); verr == nil || verr.Error() != err.Error() {
+			t.Errorf("ValidateScore = %v, want Score's %v", verr, err)
+		}
+	}
+	if err := ValidateScore(WithMethod("df"), WithAlpha(0.1)); err != nil {
+		t.Errorf("ValidateScore rejected a valid request: %v", err)
 	}
 }
 
