@@ -14,9 +14,9 @@
 // Maximum Spanning Tree, naive thresholding, k-core) behind a single
 // method registry and an options-driven pipeline:
 //
-//	g, err := repro.ReadCSV(f, true)                 // src,dst,weight lines
-//	res, err := repro.Backbone(g, repro.WithMethod("nc"), repro.WithDelta(1.64))
-//	err = res.Backbone.WriteCSV(out)                 // δ = 1.64 ≈ p 0.05
+//	g, err := repro.ReadGraph(f, repro.WithFormat("csv"), repro.WithDirected(true))
+//	res, err := repro.Backbone(g, repro.WithMethod("nc"), repro.WithDelta(1.64)) // δ = 1.64 ≈ p 0.05
+//	err = res.Backbone.WriteCSV(out)
 //
 // Every algorithm self-registers a Method descriptor (name, parameter
 // schema, scoring/extraction capabilities) in a central registry, so
@@ -34,8 +34,6 @@
 package repro
 
 import (
-	"io"
-
 	_ "repro/internal/backbone" // self-registers the baseline methods
 	"repro/internal/core"
 	"repro/internal/filter"
@@ -44,7 +42,7 @@ import (
 )
 
 // Graph is an immutable weighted graph, directed or undirected.
-// Build one with NewBuilder or ReadCSV.
+// Build one with NewBuilder or ReadGraph.
 type Graph = graph.Graph
 
 // Builder accumulates nodes and weighted edges and produces a Graph.
@@ -80,14 +78,6 @@ type EdgeStats = core.EdgeStats
 
 // NewBuilder returns a builder for a directed or undirected graph.
 func NewBuilder(directed bool) *Builder { return graph.NewBuilder(directed) }
-
-// ReadCSV parses a "src,dst,weight" edge list into a Graph.
-//
-// Deprecated: use ReadGraph, which adds format selection, content
-// sniffing and transparent gzip decompression.
-func ReadCSV(r io.Reader, directed bool) (*Graph, error) {
-	return graph.ReadCSV(r, directed)
-}
 
 // NCEdge evaluates the NC statistics of a single (possibly
 // hypothetical) edge from its weight, endpoint strengths and network

@@ -18,7 +18,7 @@ lisbon,madrid,12
 madrid,rome,14
 berlin,madrid,9
 `
-	g, err := ReadCSV(strings.NewReader(csv), false)
+	g, err := ReadGraph(strings.NewReader(csv), WithFormat("csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := bb.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	round, err := ReadCSV(strings.NewReader(sb.String()), false)
+	round, err := ReadGraph(strings.NewReader(sb.String()), WithFormat("csv"))
 	if err != nil {
 		t.Fatal(err)
 	}

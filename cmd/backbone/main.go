@@ -98,7 +98,6 @@ type app struct {
 	directed *bool
 	top      *int
 	frac     *float64
-	parallel *bool
 	out      *string
 	format   *string
 	outfmt   *string
@@ -124,7 +123,7 @@ func newApp() *app {
 	a.directed = a.fs.Bool("directed", false, "treat the edge list as directed")
 	a.top = a.fs.Int("top", 0, "keep exactly this many top-ranked edges (overrides per-method thresholds)")
 	a.frac = a.fs.Float64("frac", 0, "keep this share (0..1] of top-ranked edges")
-	a.parallel = a.fs.Bool("parallel", false, "use the method's multi-core scorer when available")
+	a.fs.Bool("parallel", false, "deprecated and ignored: tables of 4096+ edges are scored on every CPU")
 	a.out = a.fs.String("o", "", "output file (default stdout)")
 	a.format = a.fs.String("format", "", "input format: "+strings.Join(formatNames(), ", ")+" (default: sniffed from content)")
 	a.outfmt = a.fs.String("outformat", "", "output format (default: inferred from the -o extension, else csv)")
@@ -239,7 +238,7 @@ func (a *app) options() ([]repro.Option, error) {
 	return append(opts, shared...), nil
 }
 
-// sharedRunOpts validates and translates the pruning/parallel flags
+// sharedRunOpts validates and translates the pruning flags
 // shared by the extraction and evaluation modes — one copy of the
 // -top/-frac rules for both.
 func (a *app) sharedRunOpts(set map[string]bool) ([]repro.Option, error) {
@@ -258,14 +257,11 @@ func (a *app) sharedRunOpts(set map[string]bool) ([]repro.Option, error) {
 	if set["frac"] {
 		opts = append(opts, repro.WithTopFraction(*a.frac))
 	}
-	if *a.parallel {
-		opts = append(opts, repro.WithParallel())
-	}
 	return opts, nil
 }
 
 // evalOptions assembles the evaluation option set: the method subset,
-// the shared pruning/parallel flags (same rules as extraction mode,
+// the shared pruning flags (same rules as extraction mode,
 // via sharedRunOpts), and every explicitly set parameter flag as a
 // lenient ride-along (the engine validates that at least one selected
 // method declares it).

@@ -44,7 +44,7 @@ func TestCLIAllMethods(t *testing.T) {
 			// tiny graph (df needs more edges per node to reach α = 0.05),
 			// but the output must always parse back as an edge list.
 			if stdout.Len() > 0 {
-				if _, err := graph.ReadCSV(strings.NewReader(stdout.String()), false); err != nil {
+				if _, err := repro.ReadGraph(strings.NewReader(stdout.String()), repro.WithFormat("csv")); err != nil {
 					t.Fatalf("%s: output not parseable as CSV: %v", m.Name, err)
 				}
 			}
@@ -109,7 +109,7 @@ func TestCLIKCoreK(t *testing.T) {
 	if err := newApp().run([]string{"-method", "kcore", "-k", "3", in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := graph.ReadCSV(strings.NewReader(stdout.String()), false)
+	got, err := repro.ReadGraph(strings.NewReader(stdout.String()), repro.WithFormat("csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCLIKCoreK(t *testing.T) {
 
 func mustGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	g, err := graph.ReadCSV(strings.NewReader(testCSV), false)
+	g, err := repro.ReadGraph(strings.NewReader(testCSV), repro.WithFormat("csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCLITopOverride(t *testing.T) {
 		if err := newApp().run([]string{"-method", m.Name, "-top", "3", in}, nil, &stdout, &stderr); err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		g, err := graph.ReadCSV(strings.NewReader(stdout.String()), false)
+		g, err := repro.ReadGraph(strings.NewReader(stdout.String()), repro.WithFormat("csv"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.ReadCSV(strings.NewReader(string(data)), false)
+	g, err := repro.ReadGraph(strings.NewReader(string(data)), repro.WithFormat("csv"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,20 +105,20 @@ func (h *fleetHarness) ownerIndex(t testing.TB, body []byte) int {
 	return -1
 }
 
-// fleetBodies generates distinct CSV edge-list bodies until every peer
-// owns at least one, returning them grouped by owner index.
+// fleetBodies generates at least total distinct CSV edge-list bodies,
+// and more until every peer owns at least one, returning them grouped
+// by owner index. The peers listen on random ports, so which peer owns
+// a given body changes from run to run.
 func (h *fleetHarness) fleetBodies(t testing.TB, total int) map[int][][]byte {
 	t.Helper()
 	byOwner := map[int][][]byte{}
-	for seed := int64(1); seed <= int64(total); seed++ {
+	for seed := int64(1); seed <= int64(total) || len(byOwner) < len(h.addrs); seed++ {
+		if seed > int64(total)+200 {
+			t.Fatalf("%d generated bodies hash to only %d of %d peers", seed-1, len(byOwner), len(h.addrs))
+		}
 		body := fleetGraphBody(t, seed)
 		i := h.ownerIndex(t, body)
 		byOwner[i] = append(byOwner[i], body)
-	}
-	for i := range h.addrs {
-		if len(byOwner[i]) == 0 {
-			t.Fatalf("no generated body hashed to peer %d of %d; add seeds", i, len(h.addrs))
-		}
 	}
 	return byOwner
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/binfmt"
 	"repro/internal/cache"
+	"repro/internal/filter"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 	"repro/internal/resilient"
@@ -322,10 +323,11 @@ GET  /session/{id}/score    score table of the session's current edge set (incre
 DELETE /session/{id}        close a session
 
 Query parameters for POST: method (default nc), any method parameter
-(delta, alpha, ...), top, frac, parallel, directed, format (input),
-outformat (csv|tsv|ndjson), response=json. The body is an edge list in
-any registered format (gzip accepted, format sniffed), or a JSON
-envelope {"method":..., "params":{...}, "edges":[{"src":..,"dst":..,"weight":..}]}.
+(delta, alpha, ...), top, frac, directed, format (input),
+outformat (csv|tsv|ndjson), response=json. parallel is deprecated and
+ignored: tables of 4096+ edges are scored on every CPU. The body is an
+edge list in any registered format (gzip accepted, format sniffed), or
+a JSON envelope {"method":..., "params":{...}, "edges":[{"src":..,"dst":..,"weight":..}]}.
 
 POST /evaluate compares every registered method (or ?methods=nc,df,...)
 at one common backbone size (?top= / ?frac=, default the top 10% of
@@ -415,6 +417,7 @@ type methodJSON struct {
 func (s *server) handleMethods(w http.ResponseWriter, r *http.Request) {
 	var out []methodJSON
 	for _, m := range repro.Methods() {
+		_, ranged := m.Scorer.(filter.RangeScorer)
 		mj := methodJSON{
 			Name:      m.Name,
 			Title:     m.Title,
@@ -422,7 +425,7 @@ func (s *server) handleMethods(w http.ResponseWriter, r *http.Request) {
 			Params:    []paramJSON{},
 			CanScore:  m.CanScore(),
 			FixedSize: m.FixedSize,
-			Parallel:  m.ParallelScorer != nil,
+			Parallel:  ranged,
 		}
 		for _, p := range m.Params {
 			mj.Params = append(mj.Params, paramJSON{Name: p.Name, Default: p.Default, Integer: p.Integer, Desc: p.Desc})
@@ -457,7 +460,6 @@ type runRequest struct {
 	g         *repro.Graph
 	method    *repro.Method
 	topSet    bool // a top/frac pruning option is present
-	parallel  bool
 	opts      []repro.Option
 	outFormat string
 	asJSON    bool
@@ -467,20 +469,21 @@ type runRequest struct {
 // key must name a parameter of the selected method (/evaluate: of some
 // compared method). /evaluate accepts "outformat" and "response" as
 // no-ops (its report is always JSON) so clients can carry /backbone
-// query habits over.
+// query habits over. "parallel" is deprecated and ignored everywhere.
 var queryReserved = map[string]bool{
 	"method": true, "top": true, "frac": true, "parallel": true,
 	"directed": true, "format": true, "outformat": true, "response": true,
 }
 
 // envelope is the JSON request body alternative to a raw edge list.
-// Query parameters override envelope fields.
+// Query parameters override envelope fields. A "parallel" field is
+// deprecated and ignored, like the query key: scoring picks its worker
+// count from the table size.
 type envelope struct {
 	Method   string             `json:"method"`
 	Params   map[string]float64 `json:"params"`
 	Top      *int               `json:"top"`
 	Frac     *float64           `json:"frac"`
-	Parallel bool               `json:"parallel"`
 	Directed bool               `json:"directed"`
 	Edges    []envelopeEdge     `json:"edges"`
 }
@@ -720,7 +723,7 @@ func parseRun(c *call, outFormat string, scoreOnly bool) (*runRequest, error) {
 	return req, nil
 }
 
-// addOptions appends the parameter, pruning and parallelism options
+// addOptions appends the parameter and pruning options
 // every scoring endpoint shares: envelope fields first, then the query,
 // which overrides them. Envelope pruning applies only when the query
 // carries none — "query overrides envelope" must hold across option
@@ -748,7 +751,6 @@ func (req *runRequest) addOptions(q url.Values, env *envelope) error {
 				req.opts = append(req.opts, repro.WithTopFraction(*env.Frac))
 			}
 		}
-		req.parallel = env.Parallel
 	}
 	for name, vals := range q {
 		if queryReserved[name] || (req.method == nil && name == "methods") {
@@ -781,12 +783,6 @@ func (req *runRequest) addOptions(q url.Values, env *envelope) error {
 		req.topSet = true
 		req.opts = append(req.opts, repro.WithTopFraction(f))
 	}
-	if v := q.Get("parallel"); v == "true" || v == "1" {
-		req.parallel = true
-	}
-	if req.parallel {
-		req.opts = append(req.opts, repro.WithParallel())
-	}
 	return nil
 }
 
@@ -797,17 +793,13 @@ func (req *runRequest) addOptions(q url.Values, env *envelope) error {
 // /backbone and /evaluate ride this, so the two endpoints share one
 // table per (body, method). The returned hit flag reports whether this
 // call skipped scoring.
-func (s *server) cachedScores(ctx context.Context, gkey graphKey, g *repro.Graph, method string, parallel bool) (*repro.Scores, bool, error) {
+func (s *server) cachedScores(ctx context.Context, gkey graphKey, g *repro.Graph, method string) (*repro.Scores, bool, error) {
 	key := scoreKey{g: gkey, method: method}
 	return s.scores.Do(ctx, key, func() (*repro.Scores, int64, error) {
 		if err := s.scoreGate(ctx); err != nil {
 			return nil, 0, err
 		}
-		opts := []repro.Option{repro.WithMethod(method)}
-		if parallel {
-			opts = append(opts, repro.WithParallel())
-		}
-		sc, err := repro.ScoreContext(ctx, g, opts...)
+		sc, err := repro.ScoreContext(ctx, g, repro.WithMethod(method))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -884,7 +876,7 @@ func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
 // graph: the content-addressed score cache for stateless requests, the
 // session's incremental tables for session reads. hit reports that
 // nothing was scored.
-type tableSource func(m *repro.Method, parallel bool) (sc *repro.Scores, hit bool, err error)
+type tableSource func(m *repro.Method) (sc *repro.Scores, hit bool, err error)
 
 // table is the first half of the execute step /backbone, /score and
 // the session reads share. It returns the method's table when one is
@@ -896,7 +888,7 @@ type tableSource func(m *repro.Method, parallel bool) (sc *repro.Scores, hit boo
 // request; the pipeline names the typed error.
 func (s *server) table(c *call, req *runRequest, scoreOnly bool, src tableSource) (*repro.Scores, bool, error) {
 	if req.method.CanScore() && (scoreOnly || req.topSet || req.method.Cut != nil) {
-		return src(req.method, req.parallel)
+		return src(req.method)
 	}
 	if !scoreOnly {
 		return nil, false, nil
@@ -956,8 +948,8 @@ func (s *server) runStateless(scoreOnly bool) func(*call) error {
 			return err
 		}
 		req.g = c.g
-		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method, parallel bool) (*repro.Scores, bool, error) {
-			return s.cachedScores(c.ctx, c.key, c.g, m.Name, parallel)
+		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method) (*repro.Scores, bool, error) {
+			return s.cachedScores(c.ctx, c.key, c.g, m.Name)
 		})
 		if err != nil {
 			return err
@@ -1000,7 +992,7 @@ func (s *server) evaluate(c *call) error {
 		return err
 	}
 	req.opts = append(req.opts, repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-		return s.cachedScores(ctx, c.key, c.g, m.Name, req.parallel)
+		return s.cachedScores(ctx, c.key, c.g, m.Name)
 	}))
 	rep, err := repro.CompareContext(c.ctx, c.g, req.opts...)
 	if err != nil {
@@ -1084,7 +1076,7 @@ func (s *server) writeBackbone(w http.ResponseWriter, req *runRequest, res *repr
 func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *repro.Scores) {
 	g := scores.G
 	edges := g.Edges()
-	w.Header().Set("X-Backbone-Method", scores.Method)
+	w.Header().Set("X-Backbone-Method", req.method.Name)
 	w.Header().Set("X-Backbone-Edges", strconv.Itoa(len(edges)))
 	if req.asJSON {
 		rows := make([]edgeJSON, 0, len(edges))
@@ -1095,7 +1087,7 @@ func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *rep
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"method": scores.Method, "scores": rows})
+		json.NewEncoder(w).Encode(map[string]any{"method": req.method.Name, "scores": rows})
 		return
 	}
 	w.Header().Set("Content-Type", responseContentType(req.outFormat))

@@ -312,7 +312,7 @@ func (sess *session) advance() (g *repro.Graph, invalidated int) {
 // current materialization, re-scoring only dirty rows. Must hold
 // sess.mu. Returns the fresh table and how many rows were re-scored
 // (0 = pure reuse).
-func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Graph, m *repro.Method, parallel bool) (*repro.Scores, int, error) {
+func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Graph, m *repro.Method) (*repro.Scores, int, error) {
 	t := sess.tables[m.Name]
 	if t == nil {
 		t = &sessionTable{}
@@ -341,8 +341,7 @@ func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Grap
 			old = nil
 		}
 	}
-	opts := filter.ScoreOpts{Parallel: parallel}
-	sc, rescored, err := filter.RescoreDirty(ctx, m, old, dirty, opts)
+	sc, rescored, err := filter.RescoreDirty(ctx, m, old, dirty, filter.ScoreOpts{})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -398,8 +397,8 @@ func (s *server) readSession(scoreOnly bool) func(*call) error {
 		}
 		req.g = g
 		rescored := 0
-		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method, parallel bool) (*repro.Scores, bool, error) {
-			sc, n, err := s.sessionScores(c.ctx, sess, g, m, parallel)
+		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method) (*repro.Scores, bool, error) {
+			sc, n, err := s.sessionScores(c.ctx, sess, g, m)
 			rescored = n
 			return sc, n == 0, err
 		})

@@ -23,7 +23,7 @@ func TestWorldgenWritesBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.ReadCSV(strings.NewReader(string(data)), true)
+	g, err := graph.ReadGraph(strings.NewReader(string(data)), graph.ReadOptions{Format: "csv", Directed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func BenchmarkApplyDeltaColdServing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := ReadCSV(bytes.NewReader(body), false)
+		g, err := ReadGraph(bytes.NewReader(body), WithFormat("csv"))
 		if err != nil {
 			b.Fatal(err)
 		}

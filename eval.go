@@ -17,8 +17,7 @@ import (
 //	rep, err := repro.CompareContext(ctx, g,
 //	    repro.WithMethods("nc", "df", "mst"),
 //	    repro.WithTopFraction(0.05),
-//	    repro.WithNextSnapshot(gNextYear),                        // enables Stability
-//	    repro.WithParallel())
+//	    repro.WithNextSnapshot(gNextYear))                        // enables Stability
 //	fmt.Println(rep.Ranking)                                      // best composite first
 //
 // Criteria whose inputs are absent (no next snapshot, no ground truth,
@@ -154,7 +153,6 @@ func evalConfig(opts []Option) (eval.Config, error) {
 		TopKSet:       c.topKSet,
 		Frac:          c.topFrac,
 		FracSet:       c.fracSet,
-		Parallel:      c.parallel,
 		MaxConcurrent: c.evalConcurrency,
 		Params:        c.params,
 		Next:          c.evalNext,

@@ -175,6 +175,9 @@ func TestIncrementalBitIdenticalAllMethods(t *testing.T) {
 // TestRescoreDirtyCounts pins that the frontier signatures actually
 // re-score less than the full table (the perf contract behind the
 // bit-identity one), and that fallback methods report a full rescore.
+// The last case starts from a table above the 4096-edge cutoff, scored
+// on every CPU (and with the deprecated WithParallel): multi-core
+// scoring must not cost the next update its frontier rescore.
 func TestRescoreDirtyCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 200
@@ -186,28 +189,32 @@ func TestRescoreDirtyCounts(t *testing.T) {
 			b.MustAddEdge(u, v, float64(rng.Intn(50)+1))
 		}
 	}
-	base := b.Build()
+	small := b.Build()
+	big := bigTestGraph(t, 11_000)
 	ctx := context.Background()
 
 	cases := []struct {
 		method  string
+		base    *Graph
+		opts    []Option
 		partial bool // frontier methods re-score strictly less than the table
 	}{
-		{"nt", true},
-		{"df", true},
-		{"nc", false},
-		{"kcore", false}, // no capability: transparent full fallback
+		{method: "nt", base: small, partial: true},
+		{method: "df", base: small, partial: true},
+		{method: "nc", base: small},
+		{method: "kcore", base: small}, // no capability: transparent full fallback
+		{method: "df", base: big, opts: []Option{WithParallel()}, partial: true},
 	}
 	for _, tc := range cases {
 		m, err := LookupMethod(tc.method)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := ScoreContext(ctx, base, WithMethod(tc.method))
+		old, err := ScoreContext(ctx, tc.base, append(tc.opts, WithMethod(tc.method))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := graph.NewDelta(base, 0)
+		d := graph.NewDelta(tc.base, 0)
 		if err := d.Apply([]Update{{Src: 0, Dst: 1, Weight: 7}}); err != nil {
 			t.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func (ds *DoublyStochastic) sinkhorn(g *graph.Graph) (r, c []float64, err error)
 // Scores returns the doubly-stochastic normalized weight per canonical
 // edge (for undirected edges, the larger of the two directions).
 //
-//lint:ctxflow-ok filter.Scorer implementation: the pipeline's ContextScorer wrapper owns cancellation
+//lint:ctxflow-ok filter.Scorer implementation: Method.ScoreCtx checks ctx at its boundaries
 func (ds *DoublyStochastic) Scores(g *graph.Graph) (*filter.Scores, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("backbone: empty graph")

@@ -83,7 +83,7 @@ func CoreNumbers(g *graph.Graph) []int {
 // The table refers to the undirected view for directed inputs, since
 // the decomposition is degree-based.
 //
-//lint:ctxflow-ok filter.Scorer implementation: the pipeline's ContextScorer wrapper owns cancellation
+//lint:ctxflow-ok filter.Scorer implementation: Method.ScoreCtx checks ctx at its boundaries
 func (k *KCore) Scores(g *graph.Graph) (*filter.Scores, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("backbone: empty graph")

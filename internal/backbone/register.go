@@ -16,9 +16,8 @@ func init() {
 		Params: []filter.Param{
 			{Name: "alpha", Default: 0.05, Desc: "significance level on the disparity p-value"},
 		},
-		Scorer:         NewDisparity(),
-		ParallelScorer: filter.Parallelize(NewDisparity()),
-		Cut:            func(p filter.Params) float64 { return 1 - p["alpha"] },
+		Scorer: NewDisparity(),
+		Cut:    func(p filter.Params) float64 { return 1 - p["alpha"] },
 		// The disparity p-value reads only the edge weight and its
 		// endpoints' strength/degree: an update dirties the frontier of
 		// rows incident to touched nodes.
@@ -61,9 +60,8 @@ func init() {
 		Params: []filter.Param{
 			{Name: "threshold", Default: 0, Desc: "minimum edge weight"},
 		},
-		Scorer:         NewNaive(),
-		ParallelScorer: filter.Parallelize(NewNaive()),
-		Cut:            func(p filter.Params) float64 { return p["threshold"] },
+		Scorer: NewNaive(),
+		Cut:    func(p filter.Params) float64 { return p["threshold"] },
 		// The naive score is the edge weight itself: only rows whose
 		// weight changed (or were inserted) dirty.
 		Delta: &filter.DeltaScorer{Dirtiness: filter.DirtyEdge},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,10 @@ import (
 	"repro/internal/gen"
 )
 
+// TestParallelMatchesSerial: the nc kernel split across explicit
+// worker counts — and the registered method, which splits a table above
+// the 4096-edge cutoff across GOMAXPROCS workers — reproduces the
+// serial table bit for bit and keeps the scorer's name.
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := gen.ErdosRenyiGNM(rng, 3000, 9000) // above the serial fallback cutoff
@@ -16,37 +21,62 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 7} {
-		par, err := (&filter.Parallel{RS: New(), Workers: workers}).Scores(g)
+		nc := New()
+		par, err := nc.NewTable(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Method != "nc-parallel" {
-			t.Errorf("method = %q", par.Method)
+		filter.ParallelEdges(len(par.Score), workers, func(lo, hi int) { nc.ScoreEdges(par, lo, hi) })
+		requireSameNC(t, fmt.Sprintf("workers=%d", workers), par, serial)
+	}
+	m, err := filter.Lookup("nc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := m.Score(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameNC(t, "registered nc", reg, serial)
+}
+
+// requireSameNC fails unless got matches the serial table bit for bit,
+// under the scorer's own name.
+func requireSameNC(t *testing.T, label string, got, serial *filter.Scores) {
+	t.Helper()
+	if got.Method != "nc" {
+		t.Errorf("%s: method = %q", label, got.Method)
+	}
+	for i := range serial.Score {
+		if serial.Score[i] != got.Score[i] {
+			t.Fatalf("%s: score[%d] = %v, serial %v (must be bit-identical)",
+				label, i, got.Score[i], serial.Score[i])
 		}
-		for i := range serial.Score {
-			if serial.Score[i] != par.Score[i] {
-				t.Fatalf("workers=%d: score[%d] = %v, serial %v (must be bit-identical)",
-					workers, i, par.Score[i], serial.Score[i])
-			}
-		}
-		for col := range serial.Aux {
-			for i := range serial.Aux[col] {
-				if serial.Aux[col][i] != par.Aux[col][i] {
-					t.Fatalf("workers=%d: aux %q differs at %d", workers, col, i)
-				}
+	}
+	for col := range serial.Aux {
+		for i := range serial.Aux[col] {
+			if serial.Aux[col][i] != got.Aux[col][i] {
+				t.Fatalf("%s: aux %q differs at %d", label, col, i)
 			}
 		}
 	}
 }
 
+// TestParallelSmallGraphFallback: a table below the cutoff, which the
+// registered method scores on one worker, keeps the scorer's name and
+// validates.
 func TestParallelSmallGraphFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := gen.ErdosRenyiGNM(rng, 50, 100)
-	s, err := filter.Parallelize(New()).Scores(g)
+	m, err := filter.Lookup("nc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Method != "nc-parallel" {
+	s, err := m.Score(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Method != "nc" {
 		t.Errorf("fallback lost method name: %q", s.Method)
 	}
 	if err := s.Validate(); err != nil {
@@ -69,10 +99,14 @@ func BenchmarkSerialNC100k(b *testing.B) {
 func BenchmarkParallelNC100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.ErdosRenyiGNM(rng, 70_000, 100_000)
+	m, err := filter.Lookup("nc")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := filter.Parallelize(New()).Scores(g); err != nil {
+		if _, err := m.Score(g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -71,8 +71,6 @@ type Config struct {
 	TopKSet bool
 	Frac    float64
 	FracSet bool
-	// Parallel requests each method's multi-core scorer when it has one.
-	Parallel bool
 	// MaxConcurrent bounds how many methods evaluate at once; 0 means
 	// all of them (one goroutine per method). The backboned daemon sets
 	// 1 so a single /evaluate request consumes one worker-pool slot's
@@ -357,7 +355,7 @@ func evaluateMethod(ctx context.Context, g *graph.Graph, m *filter.Method, cfg C
 			me.ScoreCached = cached
 			return s, err
 		}
-		opts := filter.ScoreOpts{Parallel: cfg.Parallel}
+		var opts filter.ScoreOpts
 		if cfg.Progress != nil {
 			opts.Progress = func(done, total int) { cfg.Progress(m.Name, done, total) }
 		}

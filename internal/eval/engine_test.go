@@ -123,7 +123,7 @@ func TestCompareCriteriaAgainstDirectCalls(t *testing.T) {
 	// Recompute through the pipeline primitives and the criteria
 	// directly; the engine must agree bit-for-bit.
 	m, _ := filter.Lookup("nc")
-	s, err := m.Score(g, false)
+	s, err := m.Score(g)
 	if err != nil {
 		t.Fatal(err)
 	}

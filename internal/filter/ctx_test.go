@@ -102,7 +102,7 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := m.Resolve(Params{"delta": 1}); !errors.As(err, &pe) || pe.Param != "delta" || pe.Method != "x" {
 		t.Errorf("Resolve: %v, want *ParamError{Method: x, Param: delta}", err)
 	}
-	if _, err := m.Score(nil, false); !errors.Is(err, ErrNoScorer) {
+	if _, err := m.Score(nil); !errors.Is(err, ErrNoScorer) {
 		t.Errorf("Score: %v, want ErrNoScorer", err)
 	}
 }

@@ -76,9 +76,6 @@ type Method struct {
 	// Scorer computes the per-edge significance table; nil for
 	// extract-only methods (mst).
 	Scorer Scorer
-	// ParallelScorer, when non-nil, is a drop-in Scorer producing the
-	// same table on all CPUs (the nc method provides one).
-	ParallelScorer Scorer
 	// Extractor directly produces a fixed backbone subgraph; nil for
 	// threshold-only methods.
 	Extractor Extractor
@@ -152,49 +149,44 @@ func (m *Method) paramNames() []string {
 // supports ranked (top-k) pruning.
 func (m *Method) CanScore() bool { return m.Scorer != nil }
 
-// ScoreOpts bundles the cross-cutting controls of one scoring run:
-// parallelism, cooperative cancellation granularity and progress
-// reporting. The zero value scores serially with no reporting.
+// ScoreOpts bundles the cross-cutting controls of one scoring run
+// besides its context. The zero value scores with no reporting.
 type ScoreOpts struct {
-	// Parallel requests the method's multi-core scorer when registered.
-	Parallel bool
-	// Workers overrides the parallel worker count (0 = GOMAXPROCS).
-	Workers int
 	// Progress, when non-nil, is called after every scored checkpoint
 	// range with the cumulative number of scored edges and the total.
-	// Parallel runs invoke it concurrently from worker goroutines.
+	// Tables of 4096 rows or more are scored by GOMAXPROCS workers,
+	// which invoke it concurrently.
 	Progress func(done, total int)
 }
 
-// Score computes the method's significance table, preferring the
-// parallel scorer when parallel is set and one is registered.
-func (m *Method) Score(g *graph.Graph, parallel bool) (*Scores, error) {
-	return m.ScoreCtx(context.Background(), g, ScoreOpts{Parallel: parallel})
+// Score computes the method's significance table.
+func (m *Method) Score(g *graph.Graph) (*Scores, error) {
+	return m.ScoreCtx(context.Background(), g, ScoreOpts{})
 }
 
 // ScoreCtx is Score under a context: scoring checks ctx between
 // checkpoint ranges (see Checkpoint) and returns ctx.Err() when the
-// context is cancelled, leaving the partial table behind. Scorers that
-// do not decompose into ranges (hss, ds) run to completion and honor
-// the context only at their boundaries.
+// context is cancelled, leaving the partial table behind. A RangeScorer
+// (nc, df, nt, nc-binomial) scores its rows on one worker below
+// parallelMinEdges and on GOMAXPROCS workers from there on — the rows
+// are independent, so the table is the same either way. Scorers that do
+// not decompose into ranges (hss, ds) run to completion and honor the
+// context only at their boundaries.
 func (m *Method) ScoreCtx(ctx context.Context, g *graph.Graph, o ScoreOpts) (*Scores, error) {
-	s := m.Scorer
-	if o.Parallel && m.ParallelScorer != nil {
-		s = m.ParallelScorer
-	}
-	if s == nil {
+	if m.Scorer == nil {
 		return nil, fmt.Errorf("filter: method %q: %w", m.Name, ErrNoScorer)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	switch sc := s.(type) {
-	case ContextScorer:
-		return sc.ScoresCtx(ctx, g, o)
-	case RangeScorer:
-		return SerialCtx(ctx, sc, g, o.Progress)
+	if rs, ok := m.Scorer.(RangeScorer); ok {
+		workers := 1
+		if g.NumEdges() >= parallelMinEdges {
+			workers = 0 // GOMAXPROCS
+		}
+		return scoreRangesCtx(ctx, rs, g, workers, o.Progress)
 	}
-	out, err := s.Scores(g)
+	out, err := m.Scorer.Scores(g)
 	if err != nil {
 		return nil, err
 	}
@@ -208,16 +200,16 @@ func (m *Method) ScoreCtx(ctx context.Context, g *graph.Graph, o ScoreOpts) (*Sc
 // overrides (nil means all defaults): scoring methods apply their Cut
 // rule, extract-only methods run their Extractor.
 func (m *Method) Backbone(g *graph.Graph, overrides Params) (*graph.Graph, error) {
-	bb, _, _, err := m.BackboneScored(g, overrides, false)
+	bb, _, _, err := m.BackboneScored(g, overrides)
 	return bb, err
 }
 
 // BackboneScored is Backbone exposing the full run: the backbone, the
 // Scores table it was pruned from (nil for extract-only methods), and
-// the resolved parameters, optionally scoring on all CPUs. It is the
-// single implementation of the score-then-Cut rule.
-func (m *Method) BackboneScored(g *graph.Graph, overrides Params, parallel bool) (*graph.Graph, *Scores, Params, error) {
-	return m.BackboneScoredCtx(context.Background(), g, overrides, ScoreOpts{Parallel: parallel})
+// the resolved parameters. It is the single implementation of the
+// score-then-Cut rule.
+func (m *Method) BackboneScored(g *graph.Graph, overrides Params) (*graph.Graph, *Scores, Params, error) {
+	return m.BackboneScoredCtx(context.Background(), g, overrides, ScoreOpts{})
 }
 
 // BackboneScoredCtx is BackboneScored under a context: scoring methods

@@ -149,7 +149,7 @@ func TestMethodBackbone(t *testing.T) {
 	if err != nil || bb.NumEdges() != g.NumEdges() {
 		t.Fatalf("extractor path: %d edges, %v", bb.NumEdges(), err)
 	}
-	if _, err := ext.Score(g, false); err == nil {
+	if _, err := ext.Score(g); err == nil {
 		t.Error("extract-only method produced scores")
 	}
 }

@@ -22,8 +22,8 @@ var Checkpoint = 4096
 // non-overlapping half-open ranges covering [0, m) exactly once; with
 // one worker (or m <= 1) it runs inline on the caller's goroutine.
 //
-// This is the single chunked-worker loop shared by every parallel
-// scorer — per-edge significance computations are independent given
+// This is the single chunked-worker loop every RangeScorer runs
+// through — per-edge significance computations are independent given
 // the graph, so splitting the table by ranges is race-free as long as
 // fn only writes rows in [lo, hi).
 func ParallelEdges(m, workers int, fn func(lo, hi int)) {
@@ -112,85 +112,30 @@ type RangeScorer interface {
 	ScoreEdges(s *Scores, lo, hi int)
 }
 
-// ContextScorer is a Scorer that additionally supports cooperative
-// cancellation and progress reporting. Method.ScoreCtx prefers this
-// interface when the selected scorer implements it.
-type ContextScorer interface {
-	Scorer
-	// ScoresCtx computes the table under ctx, honoring o.Workers and
-	// o.Progress. On cancellation it returns ctx.Err() (and no table).
-	ScoresCtx(ctx context.Context, g *graph.Graph, o ScoreOpts) (*Scores, error)
-}
+// parallelMinEdges is the table size from which Method.ScoreCtx splits
+// a RangeScorer's rows across GOMAXPROCS workers; below it the
+// goroutine fan-out costs more than it saves.
+const parallelMinEdges = 4096
 
 // Serial computes a RangeScorer's full table on the calling goroutine —
-// the standard body of the sequential Scores method.
+// the standard body of the sequential Scores method, and the
+// one-worker reference the multi-worker path is pinned against.
 func Serial(rs RangeScorer, g *graph.Graph) (*Scores, error) {
-	return SerialCtx(context.Background(), rs, g, nil)
+	return scoreRangesCtx(context.Background(), rs, g, 1, nil)
 }
 
-// SerialCtx computes rs's table on the calling goroutine in Checkpoint
-// steps, checking ctx between steps and reporting to progress.
-func SerialCtx(ctx context.Context, rs RangeScorer, g *graph.Graph, progress func(done, total int)) (*Scores, error) {
+// scoreRangesCtx allocates rs's table for g and computes its rows on
+// workers goroutines (<= 0 means GOMAXPROCS), checking ctx between
+// checkpoint ranges and reporting to progress.
+func scoreRangesCtx(ctx context.Context, rs RangeScorer, g *graph.Graph, workers int, progress func(done, total int)) (*Scores, error) {
 	s, err := rs.NewTable(g)
 	if err != nil {
 		return nil, err
 	}
-	if err := ParallelEdgesCtx(ctx, len(s.Score), 1, progress, func(lo, hi int) {
+	if err := ParallelEdgesCtx(ctx, len(s.Score), workers, progress, func(lo, hi int) {
 		rs.ScoreEdges(s, lo, hi)
 	}); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// Parallel wraps a RangeScorer into a drop-in Scorer that computes the
-// identical table on all CPUs. Small graphs are scored serially: below
-// MinEdges the goroutine fan-out costs more than it saves.
-type Parallel struct {
-	RS RangeScorer
-	// Workers overrides the worker count (default: GOMAXPROCS).
-	Workers int
-	// MinEdges is the serial-fallback cutoff (default 4096).
-	MinEdges int
-}
-
-// Parallelize returns the default parallel wrapping of rs.
-func Parallelize(rs RangeScorer) *Parallel { return &Parallel{RS: rs} }
-
-// Name implements Scorer.
-func (p *Parallel) Name() string { return p.RS.Name() + "-parallel" }
-
-// Scores implements Scorer. The result is bit-identical to the wrapped
-// scorer's sequential output: the per-edge kernel is the same code, and
-// rows do not interact.
-func (p *Parallel) Scores(g *graph.Graph) (*Scores, error) {
-	return p.ScoresCtx(context.Background(), g, ScoreOpts{})
-}
-
-// ScoresCtx implements ContextScorer: the same bit-identical table,
-// with cancellation checkpoints and progress reporting.
-func (p *Parallel) ScoresCtx(ctx context.Context, g *graph.Graph, o ScoreOpts) (*Scores, error) {
-	s, err := p.RS.NewTable(g)
-	if err != nil {
-		return nil, err
-	}
-	m := len(s.Score)
-	workers := p.Workers
-	if o.Workers != 0 {
-		workers = o.Workers
-	}
-	minEdges := p.MinEdges
-	if minEdges == 0 {
-		minEdges = 4096
-	}
-	if m < minEdges {
-		workers = 1
-	}
-	if err := ParallelEdgesCtx(ctx, m, workers, o.Progress, func(lo, hi int) {
-		p.RS.ScoreEdges(s, lo, hi)
-	}); err != nil {
-		return nil, err
-	}
-	s.Method = p.Name()
 	return s, nil
 }

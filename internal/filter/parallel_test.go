@@ -1,7 +1,11 @@
 package filter
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -49,6 +53,8 @@ func (fakeRangeScorer) NewTable(g *graph.Graph) (*Scores, error) {
 	}, nil
 }
 
+func (f fakeRangeScorer) Scores(g *graph.Graph) (*Scores, error) { return Serial(f, g) }
+
 func (fakeRangeScorer) ScoreEdges(s *Scores, lo, hi int) {
 	edges := s.G.Edges()
 	aux := s.Aux["aux"]
@@ -58,7 +64,11 @@ func (fakeRangeScorer) ScoreEdges(s *Scores, lo, hi int) {
 	}
 }
 
-func TestParallelizeMatchesSerial(t *testing.T) {
+// TestRangeScoringMatchesSerial: the fake kernel split across explicit
+// worker counts, and run through Method.ScoreCtx (which splits this
+// table, above the 4096-edge cutoff, across GOMAXPROCS workers),
+// reproduces the serial table under the scorer's own name.
+func TestRangeScoringMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := graph.NewBuilder(false)
 	b.AddNodes(200)
@@ -69,26 +79,89 @@ func TestParallelizeMatchesSerial(t *testing.T) {
 		}
 	}
 	g := b.Build()
+	if g.NumEdges() < parallelMinEdges {
+		t.Fatalf("%d edges: below the parallel cutoff", g.NumEdges())
+	}
 	serial, err := Serial(fakeRangeScorer{}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 3, 8} {
-		p := &Parallel{RS: fakeRangeScorer{}, Workers: workers, MinEdges: 1}
-		got, err := p.Scores(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Method != "fake-parallel" {
-			t.Errorf("method = %q", got.Method)
+	check := func(label string, got *Scores) {
+		t.Helper()
+		if got.Method != "fake" {
+			t.Errorf("%s: method = %q", label, got.Method)
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		for i := range serial.Score {
 			if got.Score[i] != serial.Score[i] || got.Aux["aux"][i] != serial.Aux["aux"][i] {
-				t.Fatalf("workers=%d: row %d differs", workers, i)
+				t.Fatalf("%s: row %d differs", label, i)
 			}
+		}
+	}
+	for _, workers := range []int{0, 1, 3, 8} {
+		got, err := fakeRangeScorer{}.NewTable(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ParallelEdges(len(got.Score), workers, func(lo, hi int) { fakeRangeScorer{}.ScoreEdges(got, lo, hi) })
+		check(fmt.Sprintf("workers=%d", workers), got)
+	}
+	m := &Method{Name: "fake", Scorer: fakeRangeScorer{}}
+	got, err := m.Score(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ScoreCtx", got)
+}
+
+// goroutineScorer is fakeRangeScorer recording whether any range ran
+// off the goroutine with ID caller.
+type goroutineScorer struct {
+	fakeRangeScorer
+	caller uint64
+	off    *atomic.Bool
+}
+
+func (s goroutineScorer) ScoreEdges(t *Scores, lo, hi int) {
+	if goid() != s.caller {
+		s.off.Store(true)
+	}
+	s.fakeRangeScorer.ScoreEdges(t, lo, hi)
+}
+
+// goid parses the calling goroutine's ID from its stack header
+// ("goroutine 18 [running]:").
+func goid() uint64 {
+	buf := make([]byte, 64)
+	f := strings.Fields(string(buf[:runtime.Stack(buf, false)]))
+	id, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// TestScoreCtxWorkersFollowTableSize: Method.ScoreCtx scores a table
+// below the cutoff on the calling goroutine alone, and one at the
+// cutoff on worker goroutines whenever GOMAXPROCS allows more than one.
+func TestScoreCtxWorkersFollowTableSize(t *testing.T) {
+	for _, m := range []int{parallelMinEdges - 1, parallelMinEdges} {
+		b := graph.NewBuilder(false)
+		b.AddNodes(m + 1)
+		for i := 0; i < m; i++ {
+			b.MustAddEdge(i, i+1, 1)
+		}
+		var off atomic.Bool
+		meth := &Method{Name: "fake", Scorer: goroutineScorer{caller: goid(), off: &off}}
+		if _, err := meth.Score(b.Build()); err != nil {
+			t.Fatal(err)
+		}
+		want := m >= parallelMinEdges && runtime.GOMAXPROCS(0) > 1
+		if off.Load() != want {
+			t.Errorf("%d edges, GOMAXPROCS %d: ranges ran off the caller = %v, want %v",
+				m, runtime.GOMAXPROCS(0), off.Load(), want)
 		}
 	}
 }

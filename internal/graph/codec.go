@@ -120,7 +120,8 @@ func (c *chunkReader) next() ([]byte, int64, error) {
 // described in the package comment. With one worker (or one CPU) it
 // parses and merges inline; otherwise chunks fan out to shard parsers
 // and merge deterministically in input order. Output and error classes
-// are bit-identical to readEdgeListSerial.
+// are bit-identical to readEdgeListSerial, the test-only line-at-a-time
+// oracle in serial_oracle_test.go.
 func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	workers := readWorkers
 	if workers <= 0 {
@@ -287,10 +288,10 @@ func byteOffset(base, sub []byte) int32 {
 	return int32(uintptr(unsafe.Pointer(&sub[0])) - uintptr(unsafe.Pointer(&base[0])))
 }
 
-// splitFields3 splits a trimmed line the way splitFields does — tabs
-// preferred over commas over whitespace — but returns only the first
-// three fields (as trimmed sub-slices) plus the total field count,
-// without allocating.
+// splitFields3 splits a trimmed line the way the serial oracle's
+// splitFields does — tabs preferred over commas over whitespace — but
+// returns only the first three fields (as trimmed sub-slices) plus the
+// total field count, without allocating.
 func splitFields3(ln []byte) (f0, f1, f2 []byte, n int) {
 	var sep byte
 	switch {
@@ -371,16 +372,6 @@ func spaceAt(b []byte, i int) (bool, int) {
 func containsDigit(b []byte) bool {
 	for _, c := range b {
 		if '0' <= c && c <= '9' {
-			return true
-		}
-	}
-	return false
-}
-
-// hasDigit is containsDigit for strings (the serial reader's form).
-func hasDigit(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if '0' <= s[i] && s[i] <= '9' {
 			return true
 		}
 	}

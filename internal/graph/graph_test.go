@@ -226,7 +226,7 @@ func TestEdgeSetAndWeightMap(t *testing.T) {
 
 func TestReadWriteCSVRoundTrip(t *testing.T) {
 	in := "src,dst,weight\na,b,2\nb,c,3.5\n# comment\nc,a,1\n"
-	g, err := ReadCSV(strings.NewReader(in), true)
+	g, err := ReadGraph(strings.NewReader(in), ReadOptions{Format: "csv", Directed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestReadWriteCSVRoundTrip(t *testing.T) {
 	if err := g.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadCSV(strings.NewReader(sb.String()), true)
+	g2, err := ReadGraph(strings.NewReader(sb.String()), ReadOptions{Format: "csv", Directed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,17 +250,17 @@ func TestReadWriteCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVWhitespaceAndErrors(t *testing.T) {
-	g, err := ReadCSV(strings.NewReader("a b 1\nb c 2\n"), false)
+	g, err := ReadGraph(strings.NewReader("a b 1\nb c 2\n"), ReadOptions{Format: "csv"})
 	if err != nil {
 		t.Fatalf("space-separated: %v", err)
 	}
 	if g.NumEdges() != 2 {
 		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
 	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n"), false); err == nil {
+	if _, err := ReadGraph(strings.NewReader("a,b\n"), ReadOptions{Format: "csv"}); err == nil {
 		t.Error("two-field line accepted")
 	}
-	if _, err := ReadCSV(strings.NewReader("a,b,1\nc,d,bogus\n"), false); err == nil {
+	if _, err := ReadGraph(strings.NewReader("a,b,1\nc,d,bogus\n"), ReadOptions{Format: "csv"}); err == nil {
 		t.Error("bad weight on non-header line accepted")
 	}
 }

@@ -43,8 +43,8 @@ func benchRead(b *testing.B, m int, read func(r io.Reader, directed bool) (*Grap
 	}
 }
 
-func BenchmarkReadCSV100k(b *testing.B) { benchRead(b, 100_000, ReadCSV) }
-func BenchmarkReadCSV1M(b *testing.B)   { benchRead(b, 1_000_000, ReadCSV) }
+func BenchmarkReadCSV100k(b *testing.B) { benchRead(b, 100_000, readEdgeList) }
+func BenchmarkReadCSV1M(b *testing.B)   { benchRead(b, 1_000_000, readEdgeList) }
 
 // The pre-PR line-by-line reader stays benchmarked so the codec's
 // speedup (BENCH_baseline.json post_pr4) remains re-measurable on
@@ -53,7 +53,7 @@ func BenchmarkReadCSVSerial100k(b *testing.B) { benchRead(b, 100_000, readEdgeLi
 func BenchmarkReadCSVSerial1M(b *testing.B)   { benchRead(b, 1_000_000, readEdgeListSerial) }
 
 func BenchmarkWriteCSV100k(b *testing.B) {
-	g, err := ReadCSV(bytes.NewReader(benchEdgeListCSV(100_000)), false)
+	g, err := readEdgeList(bytes.NewReader(benchEdgeListCSV(100_000)), false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkWriteCSV100k(b *testing.B) {
 }
 
 func BenchmarkWriteNDJSON100k(b *testing.B) {
-	g, err := ReadCSV(bytes.NewReader(benchEdgeListCSV(100_000)), false)
+	g, err := readEdgeList(bytes.NewReader(benchEdgeListCSV(100_000)), false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,68 +1,57 @@
 package repro
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/filter"
 	"repro/internal/gen"
 )
 
-// TestRegisteredParallelScorersBitIdentical asserts the PR-2 perf
-// contract: every method registering a ParallelScorer (nc, df, nt,
-// nc-binomial) must produce a table bit-identical to its serial scorer,
-// Score and every Aux column, on a graph large enough to defeat the
-// serial fallback.
-func TestRegisteredParallelScorersBitIdentical(t *testing.T) {
+// TestRegisteredRangeScorersBitIdentical asserts the perf contract
+// behind the single scoring path: for every method whose scorer is a
+// filter.RangeScorer (nc, df, nt, nc-binomial), Method.ScoreCtx — which
+// splits a table above the 4096-edge cutoff across GOMAXPROCS workers —
+// and ParallelEdges at explicit worker counts (so a one-CPU runner
+// still covers the multi-worker path) must reproduce the serial
+// Scorer.Scores table, the one-worker reference, bit for bit: Score,
+// every Aux column and the scorer's own name.
+func TestRegisteredRangeScorersBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := gen.ErdosRenyiGNM(rng, 4000, 12_000) // above the 4096-edge cutoff
 
-	want := []string{"nc", "df", "nt", "nc-binomial"}
-	have := map[string]bool{}
+	var have []string
 	for _, m := range filter.All() {
-		if m.ParallelScorer == nil {
+		rs, ok := m.Scorer.(filter.RangeScorer)
+		if !ok {
 			continue
 		}
-		have[m.Name] = true
+		have = append(have, m.Name)
 		serial, err := m.Scorer.Scores(g)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", m.Name, err)
 		}
-		par, err := m.ParallelScorer.Scores(g)
+		got, err := m.ScoreCtx(context.Background(), g, filter.ScoreOpts{})
 		if err != nil {
-			t.Fatalf("%s: parallel: %v", m.Name, err)
+			t.Fatalf("%s: ScoreCtx: %v", m.Name, err)
 		}
-		if par.Method != m.ParallelScorer.Name() {
-			t.Errorf("%s: parallel method name = %q, want %q",
-				m.Name, par.Method, m.ParallelScorer.Name())
+		if got.Method != serial.Method {
+			t.Errorf("%s: ScoreCtx method name = %q, want the scorer's %q", m.Name, got.Method, serial.Method)
 		}
-		if len(par.Score) != len(serial.Score) {
-			t.Fatalf("%s: %d parallel scores, %d serial", m.Name, len(par.Score), len(serial.Score))
-		}
-		for i := range serial.Score {
-			if serial.Score[i] != par.Score[i] {
-				t.Fatalf("%s: score[%d] = %v parallel vs %v serial (must be bit-identical)",
-					m.Name, i, par.Score[i], serial.Score[i])
+		requireTablesBitIdentical(t, m.Name+" ScoreCtx", 0, got, serial)
+		for _, workers := range []int{2, 3, 7} {
+			s, err := rs.NewTable(g)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(par.Aux) != len(serial.Aux) {
-			t.Fatalf("%s: aux columns differ: %d vs %d", m.Name, len(par.Aux), len(serial.Aux))
-		}
-		for col := range serial.Aux {
-			pc, ok := par.Aux[col]
-			if !ok {
-				t.Fatalf("%s: parallel table missing aux %q", m.Name, col)
-			}
-			for i := range serial.Aux[col] {
-				if serial.Aux[col][i] != pc[i] {
-					t.Fatalf("%s: aux %q differs at row %d", m.Name, col, i)
-				}
-			}
+			filter.ParallelEdges(len(s.Score), workers, func(lo, hi int) { rs.ScoreEdges(s, lo, hi) })
+			requireTablesBitIdentical(t, fmt.Sprintf("%s workers=%d", m.Name, workers), 0, s, serial)
 		}
 	}
-	for _, name := range want {
-		if !have[name] {
-			t.Errorf("method %q does not register a parallel scorer", name)
-		}
+	if want := []string{"nc", "df", "nt", "nc-binomial"}; !slices.Equal(have, want) {
+		t.Errorf("range-scored methods = %v, want %v", have, want)
 	}
 }

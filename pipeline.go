@@ -35,7 +35,6 @@ type config struct {
 	topKSet   bool
 	topFrac   float64
 	fracSet   bool
-	parallel  bool
 	scores    *Scores
 	dirtyOld  *Scores
 	dirty     graph.Dirty
@@ -146,20 +145,23 @@ func WithTopFraction(f float64) Option {
 	}
 }
 
-// WithParallel requests the method's multi-core scorer when it has one
-// (nc does); methods without one run serially, results are identical
-// either way.
+// WithParallel is ignored.
+//
+// Deprecated: scoring picks its worker count from the table size — one
+// worker below 4096 edges, GOMAXPROCS from there on, for every method
+// whose rows score independently (nc, df, nt, nc-binomial) — and the
+// table is bit-identical either way, so there is nothing to request.
 func WithParallel() Option {
-	return func(c *config) { c.parallel = true }
+	return func(*config) {}
 }
 
 // WithScores supplies a precomputed significance table so Backbone can
 // skip scoring and go straight to pruning — the backboned daemon's
 // score cache rides on this. The table must belong to the same *Graph
 // value (enforced), and must have been produced by the selected
-// method — that pairing is the caller's contract and cannot be
-// verified, because Scores.Method names the concrete scorer variant
-// ("nc-parallel"), not the registry entry. Method parameters (delta,
+// method — that pairing is the caller's contract and is not checked:
+// Scores.Method is the scorer's own name, which need not be the
+// registry entry's (nt's scorer is "naive"). Method parameters (delta,
 // alpha, ...) still apply: they only move the pruning threshold, never
 // the table itself.
 func WithScores(s *Scores) Option {
@@ -183,9 +185,11 @@ func WithDirtyScores(old *Scores, dirty Dirty) Option {
 
 // WithProgress registers a callback for long runs: fn is invoked after
 // every scored checkpoint range (a few thousand edges) with the
-// cumulative number of scored edges and the total. Parallel runs call
-// fn concurrently from worker goroutines, and BackboneAll interleaves
-// the progress of its methods, so fn must be safe for concurrent use.
+// cumulative number of scored edges and the total. Whenever the table
+// has 4096 edges or more and GOMAXPROCS > 1, scoring runs on several
+// worker goroutines that call fn concurrently, and BackboneAll
+// interleaves the progress of its methods, so fn must be safe for
+// concurrent use.
 // Methods that do not score by ranges (hss, mst, ds) report no
 // intermediate progress.
 func WithProgress(fn func(done, total int)) Option {
@@ -275,7 +279,7 @@ func Backbone(g *Graph, opts ...Option) (*Result, error) {
 //
 //	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 //	defer cancel()
-//	res, err := repro.BackboneContext(ctx, g, repro.WithMethod("nc"), repro.WithParallel())
+//	res, err := repro.BackboneContext(ctx, g, repro.WithMethod("nc"))
 func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
 	c, m, err := resolve(opts)
 	if err != nil {
@@ -284,7 +288,7 @@ func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, er
 	if c.scores != nil && c.scores.G != g {
 		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
 	}
-	so := filter.ScoreOpts{Parallel: c.parallel, Progress: c.progress}
+	so := filter.ScoreOpts{Progress: c.progress}
 	start := time.Now()
 	scores := c.scores
 	if c.dirtySet {
@@ -370,7 +374,7 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 	if err != nil {
 		return nil, err
 	}
-	so := filter.ScoreOpts{Parallel: c.parallel, Progress: c.progress}
+	so := filter.ScoreOpts{Progress: c.progress}
 	if c.dirtySet {
 		if c.scores != nil {
 			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "WithScores and WithDirtyScores are mutually exclusive"}
@@ -527,7 +531,7 @@ func MethodsTable() string {
 			}
 		}
 		parallel := "—"
-		if m.ParallelScorer != nil {
+		if _, ok := m.Scorer.(filter.RangeScorer); ok {
 			parallel = "✓"
 		}
 		out += fmt.Sprintf("| `%s` | %s | %s | %s | %s |\n", m.Name, m.Title, params, parallel, m.Desc)

@@ -12,7 +12,7 @@ import (
 func pipelineGraph(t *testing.T) *Graph {
 	t.Helper()
 	csv := "a,b,10\na,c,9\nb,c,1\nc,d,8\nd,e,7\nc,e,2\nd,a,6\ne,b,5\nb,d,3\n"
-	g, err := ReadCSV(strings.NewReader(csv), false)
+	g, err := ReadGraph(strings.NewReader(csv), WithFormat("csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,24 +176,29 @@ func TestTopKAndFraction(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: a table above the 4096-edge cutoff, which
+// the pipeline scores on every CPU, is bit-identical to the serial
+// kernel and keeps the scorer's name — with or without the deprecated,
+// ignored WithParallel.
 func TestParallelMatchesSerial(t *testing.T) {
-	g := pipelineGraph(t)
-	serial, err := Score(g, WithMethod("nc"))
+	g := bigTestGraph(t, 10_000)
+	m, err := LookupMethod("nc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Score(g, WithMethod("nc"), WithParallel())
+	serial, err := m.Scorer.Scores(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range serial.Score {
-		if serial.Score[i] != par.Score[i] {
-			t.Fatalf("edge %d: serial %v, parallel %v", i, serial.Score[i], par.Score[i])
+	for _, opts := range [][]Option{{WithMethod("nc")}, {WithMethod("nc"), WithParallel()}} {
+		par, err := Score(g, opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Methods without a parallel scorer silently run serially.
-	if _, err := Score(g, WithMethod("df"), WithParallel()); err != nil {
-		t.Errorf("df with WithParallel: %v", err)
+		if par.Method != "nc" {
+			t.Errorf("method = %q, want nc", par.Method)
+		}
+		requireTablesBitIdentical(t, "nc", 0, par, serial)
 	}
 }
 
