@@ -37,11 +37,11 @@
 //	curl -s --data-binary @edges.ndjson 'localhost:8080/backbone?method=df&top=500&outformat=ndjson'
 //	curl -s --data-binary @edges.csv 'localhost:8080/score?method=nc&response=json' | jq .
 //
-// Scoring runs behind adaptive admission control (-workers is the hard
-// concurrency cap; -admission=static pins the limit there instead of
-// letting AIMD adapt it to observed scoring latency). Requests whose
-// score tables are already cached take a fast priority lane; cold
-// scoring queues in a cold lane with one slot reserved for fast work.
+// Scoring runs behind adaptive admission control: -workers is the hard
+// concurrency cap, under which AIMD adapts the limit to observed
+// scoring latency. Requests whose score tables are already cached take
+// a fast priority lane; cold scoring queues in a cold lane with one
+// slot reserved for fast work.
 // Excess requests queue until a slot frees or their remaining budget
 // cannot cover the method's observed p90 cost — then they are shed
 // early with 503 and a Retry-After computed from queue depth. Requests
@@ -127,7 +127,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "maximum concurrent scoring requests (admission hard cap)")
-		admitMode  = flag.String("admission", "adaptive", "admission control: adaptive (AIMD limit under -workers) or static (fixed at -workers)")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-request timeout")
 		maxBody    = flag.Int64("max-body", 256<<20, "maximum request body size in bytes")
 		drain      = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
@@ -144,15 +143,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "backboned: ", log.LstdFlags)
-
-	var staticAdmission bool
-	switch *admitMode {
-	case "adaptive":
-	case "static":
-		staticAdmission = true
-	default:
-		logger.Fatalf("-admission: unknown mode %q (want adaptive or static)", *admitMode)
-	}
 
 	var fl *fleet.Fleet
 	if *peersFlag != "" || *selfAddr != "" {
@@ -178,7 +168,6 @@ func main() {
 
 	s := newServer(serverConfig{
 		workers:         *workers,
-		staticAdmission: staticAdmission,
 		timeout:         *timeout,
 		maxBody:         *maxBody,
 		graphCacheBytes: *graphCache << 20,

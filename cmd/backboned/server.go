@@ -57,10 +57,6 @@ type serverConfig struct {
 	workers int           // hard concurrency cap (admission MaxConcurrent)
 	timeout time.Duration // per-request wall clock budget
 	maxBody int64
-	// staticAdmission pins the concurrency limit at workers instead of
-	// adapting it (-admission=static); lanes and deadline-aware
-	// admission still apply.
-	staticAdmission bool
 	// admissionCfg, when non-nil, overrides the derived admission
 	// config entirely (tests tune cooldowns, queues and clocks);
 	// MaxConcurrent defaults to workers if left zero.
@@ -151,7 +147,7 @@ func newServer(cfg serverConfig) *server {
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
 	}
-	acfg := admission.Config{MaxConcurrent: cfg.workers, Adaptive: !cfg.staticAdmission}
+	acfg := admission.Config{MaxConcurrent: cfg.workers, Adaptive: true}
 	if cfg.admissionCfg != nil {
 		acfg = *cfg.admissionCfg
 		if acfg.MaxConcurrent == 0 {

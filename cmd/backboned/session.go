@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -38,15 +37,6 @@ import (
 // defaultMaxSessions bounds resident session state when -max-sessions
 // is unset; the oldest idle session is evicted past it.
 const defaultMaxSessions = 256
-
-// sessionTable is one method's score table inside a session, plus the
-// nodes dirtied since it was computed. pending is what RescoreDirty
-// needs to bring the table forward; it accumulates across
-// materializations until the next read of this method drains it.
-type sessionTable struct {
-	scores  *repro.Scores
-	pending []int32 // sorted unique dirty nodes since scores.G
-}
 
 // session is one live overlay: the delta accumulating updates, the
 // latest materialization, and per-method score tables that advance
@@ -64,8 +54,8 @@ type session struct {
 	// table exactly one generation behind rides its row diff (and, with
 	// an exclusive delta, its in-place surrender).
 	lastDirty graph.Dirty
-	tables    map[string]*sessionTable
-	applied   uint64 // total updates accepted
+	tables    map[string]*repro.Scores // per method; may be generations behind g
+	applied   uint64                   // total updates accepted
 
 	created  time.Time
 	lastUsed time.Time // guarded by server.sessMu
@@ -93,17 +83,6 @@ func parseSessionID(id string) (sum [sha256.Size]byte, ok bool) {
 	}
 	copy(sum[:], raw)
 	return sum, true
-}
-
-// mergeDirtyNodes folds a materialization's dirty node set into a
-// table's pending set, keeping it sorted and unique.
-func mergeDirtyNodes(pending, dirty []int32) []int32 {
-	if len(dirty) == 0 {
-		return pending
-	}
-	pending = append(pending, dirty...)
-	slices.Sort(pending)
-	return slices.Compact(pending)
 }
 
 // getSession looks a session up and bumps its recency.
@@ -191,7 +170,7 @@ func (s *server) createSession(c *call) error {
 		sum:     c.sum,
 		delta:   delta,
 		g:       c.g,
-		tables:  map[string]*sessionTable{},
+		tables:  map[string]*repro.Scores{},
 		created: time.Now(),
 	})
 	s.sessionCreates.Add(1)
@@ -272,40 +251,17 @@ func (s *server) updateSession(c *call) error {
 	return nil
 }
 
-// advance materializes the session's delta and folds the resulting
-// dirty node set into every table's pending set. Must hold sess.mu.
-// Returns the number of tables invalidated (counted once per table
-// per materialization that dirtied it).
+// advance materializes the session's delta and keeps the dirty record
+// for the table reads that follow. Must hold sess.mu. Returns the
+// number of tables invalidated (counted once per table per
+// materialization).
 func (sess *session) advance() (g *repro.Graph, invalidated int) {
 	g, dirty := sess.delta.Graph()
 	if g == sess.g {
 		return g, 0
 	}
-	if dirty.Base != sess.g {
-		// Defensive: the delta materialized somewhere we did not observe,
-		// so the dirty record does not connect to our last snapshot and
-		// pending accumulation cannot be trusted. Drop every table —
-		// the next read of each method pays a full (still bit-identical)
-		// rescore instead of risking a stale row.
-		//lint:detiter-ok every table is reset; order does not matter
-		for name, t := range sess.tables {
-			if t.scores != nil {
-				invalidated++
-			}
-			delete(sess.tables, name)
-		}
-		sess.g, sess.lastDirty = g, dirty
-		return g, invalidated
-	}
-	//lint:detiter-ok every table is updated; order does not matter
-	for _, t := range sess.tables {
-		t.pending = mergeDirtyNodes(t.pending, dirty.Nodes)
-		if t.scores != nil {
-			invalidated++
-		}
-	}
 	sess.g, sess.lastDirty = g, dirty
-	return g, invalidated
+	return g, len(sess.tables)
 }
 
 // sessionScores brings one method's table forward to the session's
@@ -313,39 +269,30 @@ func (sess *session) advance() (g *repro.Graph, invalidated int) {
 // sess.mu. Returns the fresh table and how many rows were re-scored
 // (0 = pure reuse).
 func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Graph, m *repro.Method) (*repro.Scores, int, error) {
-	t := sess.tables[m.Name]
-	if t == nil {
-		t = &sessionTable{}
-		sess.tables[m.Name] = t
-	}
-	if t.scores != nil && t.scores.G == g && len(t.pending) == 0 {
-		return t.scores, 0, nil
+	old := sess.tables[m.Name]
+	if old != nil && old.G == g {
+		return old, 0, nil
 	}
 	if err := s.scoreGate(ctx); err != nil {
 		return nil, 0, err
 	}
-	dirty := graph.Dirty{For: g, Nodes: t.pending}
-	old := t.scores
-	if old != nil {
-		if ld := sess.lastDirty; ld.For == g && ld.Base == old.G {
-			// Exactly one generation behind: the materialization's own
-			// dirty record applies verbatim — row diff, surrender and
-			// all (its Nodes are this table's pending set by
-			// construction).
-			dirty = ld
-		} else {
-			// Further behind. The delta is exclusive, so the old
-			// table's graph has been cannibalized and its edge slice
-			// must not be walked: leave old out and pay a full (still
-			// bit-identical) rescore.
-			old = nil
-		}
+	// A table exactly one generation behind rides the materialization's
+	// own dirty record: row diff, surrender and all. Any other table
+	// gets a bare record, so RescoreDirty pays a full (still
+	// bit-identical) rescore: the delta is exclusive, so an older
+	// table's graph has been cannibalized and no row diff reaches it.
+	dirty := graph.Dirty{For: g}
+	if ld := sess.lastDirty; old != nil && ld.For == g && ld.Base == old.G {
+		dirty = ld
 	}
+	// An exclusive rescore consumes old even when it fails, so the
+	// table leaves the session until its successor is ready.
+	delete(sess.tables, m.Name)
 	sc, rescored, err := filter.RescoreDirty(ctx, m, old, dirty, filter.ScoreOpts{})
 	if err != nil {
 		return nil, 0, err
 	}
-	t.scores, t.pending = sc, nil
+	sess.tables[m.Name] = sc
 	s.sessionRescoredRows.Add(uint64(rescored))
 	if rescored == g.NumEdges() {
 		s.sessionFullRescores.Add(1)
@@ -368,8 +315,7 @@ func (s *server) classifySessionRead(c *call) (admission.Lane, string) {
 		return admission.Fast, "session-read" // 404s should not queue behind scoring
 	}
 	sess.mu.Lock()
-	t := sess.tables[method]
-	warm := t != nil && t.scores != nil
+	warm := sess.tables[method] != nil
 	sess.mu.Unlock()
 	if warm {
 		return admission.Fast, "session-read"

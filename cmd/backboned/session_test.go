@@ -381,6 +381,63 @@ func TestSessionRescoredSubset(t *testing.T) {
 	}
 }
 
+// TestSessionStaleTableFullRescore: a method's table left two
+// materializations behind (df below, while nt reads in between) no
+// longer has a row diff reaching it, because the exclusive delta
+// recycled its graph's arrays. Its next read must re-score every row
+// and still answer the cold replay's bytes; the table one
+// materialization behind (nt) rides the diff.
+func TestSessionStaleTableFullRescore(t *testing.T) {
+	_, ts := newTestServer(t, 4, 30*time.Second)
+	g := testGraph(t, 300)
+	oracle := newSessionOracle(g)
+	base := encodeGraph(t, g, "csv")
+	c := openSession(t, ts.URL, base)
+
+	rescored := func(method string) (int, []byte) {
+		t.Helper()
+		resp, raw := c.get("backbone", "method="+method)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s read: status %d: %s", method, resp.StatusCode, raw)
+		}
+		n, err := strconv.Atoi(resp.Header.Get("X-Backbone-Rescored"))
+		if err != nil {
+			t.Fatalf("X-Backbone-Rescored %q: %v", resp.Header.Get("X-Backbone-Rescored"), err)
+		}
+		return n, raw
+	}
+	var history []wireUpdate
+	update := func(src, dst int, w float64) {
+		ups := []wireUpdate{{Src: g.Label(src), Dst: g.Label(dst), Weight: &w}}
+		c.mustUpdate(ups)
+		oracle.apply(ups)
+		history = append(history, ups...)
+	}
+
+	rescored("df")
+	update(0, 1, 7)
+	rescored("nt")
+	update(2, 3, 11)
+	if n, _ := rescored("nt"); n == 0 || n >= len(oracle.state) {
+		t.Fatalf("nt one materialization behind rescored %d of %d rows; want a strict non-empty subset", n, len(oracle.state))
+	}
+	n, got := rescored("df")
+	if n != len(oracle.state) {
+		t.Fatalf("df two materializations behind rescored %d rows; want all %d", n, len(oracle.state))
+	}
+
+	replay := openSession(t, ts.URL, base)
+	defer replay.close()
+	replay.mustUpdate(history)
+	resp, cold := replay.get("backbone", "method=df")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("replay df read: status %d: %s", resp.StatusCode, cold)
+	}
+	if !bytes.Equal(got, cold) {
+		t.Fatalf("stale df table diverges from cold replay\n%s", firstDiffLine(string(got), string(cold)))
+	}
+}
+
 // TestSessionValidation covers the caller-mistake surface: malformed
 // IDs, unknown sessions, unknown node labels, empty and invalid update
 // batches — and that a failed batch leaves the session untouched.

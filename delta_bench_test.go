@@ -122,6 +122,53 @@ func BenchmarkApplyDeltaIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyDeltaBatch measures one batch of updates on a warm
+// 1M-edge session: apply, materialize and rescore on top of the
+// previous table. 125k updates is the largest batch below the delta's
+// m/8 cutover, so 1k and 125k take the incremental materialization and
+// 250k and 1M the full merge. Iterations alternate two weight sets over
+// the same pairs, so every iteration re-weights each touched edge.
+func BenchmarkApplyDeltaBatch(b *testing.B) {
+	sizes := []struct {
+		name string
+		n    int
+	}{{"1k", 1_000}, {"125k", 125_000}, {"250k", 250_000}, {"1M", 1_000_000}}
+	for _, method := range []string{"df", "nt"} {
+		for _, size := range sizes {
+			b.Run("method="+method+"/batch="+size.name, func(b *testing.B) {
+				base := benchDeltaGraph(b, 1_000_000)
+				batches := [2][]Update{benchUpdates(base, size.n), benchUpdates(base, size.n)}
+				for i := range batches[1] {
+					batches[1][i].Weight = float64(int(batches[0][i].Weight)%90 + 1)
+				}
+				ctx := context.Background()
+				mm, err := LookupMethod(method)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d := graph.NewDelta(base, 0)
+				d.SetExclusive(true)
+				_, dirty := d.Graph()
+				prev, _, err := filter.RescoreDirty(ctx, mm, nil, dirty, filter.ScoreOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := d.Apply(batches[i%2]); err != nil {
+						b.Fatal(err)
+					}
+					_, dirty = d.Graph()
+					if prev, _, err = filter.RescoreDirty(ctx, mm, prev, dirty, filter.ScoreOpts{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkApplyDeltaColdRebuild is the in-memory baseline: rebuild the
 // graph from its canonical edges, fully re-score, and extract.
 func BenchmarkApplyDeltaColdRebuild(b *testing.B) {

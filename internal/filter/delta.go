@@ -12,7 +12,6 @@ package filter
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -68,16 +67,23 @@ type DeltaScorer struct {
 // result is the number of rows actually re-scored.
 //
 // Fallback is transparent: if m declares no DeltaScorer capability, its
-// scorer is not a RangeScorer, old is nil, or old was computed for a
-// different graph than dirty.Base, the full ScoreCtx path runs instead
-// (and the rescored count is the table size).
+// scorer is not a RangeScorer, old is nil, old was computed for a
+// different graph than dirty.Base, or dirty carries no row diff (only
+// hand-built records lack one), the full ScoreCtx path runs instead (and
+// the rescored count is the table size).
+//
+// With dirty.Exclusive the call consumes old — its columns become the
+// new table, shifted in place — even when it returns an error: a
+// cancelled exclusive call leaves old half-migrated, so the caller must
+// discard it either way.
 func RescoreDirty(ctx context.Context, m *Method, old *Scores, dirty graph.Dirty, o ScoreOpts) (*Scores, int, error) {
 	g := dirty.For
 	if g == nil {
 		return nil, 0, fmt.Errorf("filter: RescoreDirty: dirty record has no target graph")
 	}
 	rs, ranged := m.Scorer.(RangeScorer)
-	if m.Delta == nil || !ranged || old == nil || old.G != dirty.Base ||
+	diff := dirty.Diff
+	if m.Delta == nil || !ranged || old == nil || old.G != dirty.Base || diff == nil ||
 		old.Method != m.Scorer.Name() || m.Delta.Dirtiness == DirtyGlobal {
 		s, err := m.ScoreCtx(ctx, g, o)
 		if err != nil {
@@ -86,109 +92,52 @@ func RescoreDirty(ctx context.Context, m *Method, old *Scores, dirty graph.Dirty
 		return s, g.NumEdges(), nil
 	}
 
-	// Fast path: a delta materialization already knows the row-level
-	// diff between the two graphs (graph.RowDiff), so clean rows are
-	// carried over through the precomputed segment map and the dirty
-	// set is read off the diff — no O(m) lockstep walk over the edge
-	// slices. When the previous generation is surrendered
-	// (Dirty.Exclusive) the old columns themselves become the new
-	// table, segments shifted in place; otherwise they are block-copied
-	// into a fresh table.
-	if diff := dirty.Diff; diff != nil {
-		var s *Scores
-		if dirty.Exclusive {
-			// The migration mutates the surrendered columns, so it must
-			// not fail once started: one ctx check up front, none in
-			// the (frontier-sized, bounded) rescore loop below.
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
+	// Clean rows are carried over through the diff's segment map. When
+	// the previous generation is surrendered (Dirty.Exclusive) the old
+	// columns themselves become the new table, segments shifted in
+	// place; otherwise they are block-copied into a fresh table.
+	var s *Scores
+	if dirty.Exclusive {
+		s = migrateTable(old, g, diff)
+	} else {
+		var err error
+		if s, err = rs.NewTable(g); err != nil {
+			return nil, 0, err
+		}
+		cols, ok := pairColumns(s, old)
+		if !ok {
+			// Aux layout mismatch between the two tables — should not
+			// happen for one method, but a full rescore is always correct.
+			full, ferr := m.ScoreCtx(ctx, g, o)
+			if ferr != nil {
+				return nil, 0, ferr
 			}
-			s = migrateTable(old, g, diff)
-		} else {
-			var err error
-			s, err = rs.NewTable(g)
-			if err != nil {
-				return nil, 0, err
-			}
-			cols, ok := pairColumns(s, old)
-			if !ok {
-				// Aux layout mismatch between the two tables — should
-				// not happen for one method, but a full rescore is
-				// always correct.
-				full, ferr := m.ScoreCtx(ctx, g, o)
-				if ferr != nil {
-					return nil, 0, ferr
-				}
-				return full, g.NumEdges(), nil
-			}
-			for _, c := range cols {
-				for _, sc := range diff.Copies {
-					copy(c.dst[sc.ForLo:sc.ForLo+sc.Len], c.src[sc.BaseLo:sc.BaseLo+sc.Len])
-				}
+			return full, g.NumEdges(), nil
+		}
+		for _, c := range cols {
+			for _, sc := range diff.Copies {
+				copy(c.dst[sc.ForLo:sc.ForLo+sc.Len], c.src[sc.BaseLo:sc.BaseLo+sc.Len])
 			}
 		}
-		rows := diff.Changed
-		if m.Delta.Dirtiness == DirtyEndpoints {
-			rows = diff.Frontier
-		}
-		rescored := 0
-		for i := 0; i < len(rows); {
-			if !dirty.Exclusive {
-				if err := ctx.Err(); err != nil {
-					return nil, 0, err
-				}
-			}
-			lo := int(rows[i])
-			hi := lo + 1
-			i++
-			for i < len(rows) && int(rows[i]) == hi && hi-lo < Checkpoint {
-				hi++
-				i++
-			}
-			rs.ScoreEdges(s, lo, hi)
-			rescored += hi - lo
-		}
-		return s, rescored, nil
 	}
-
-	s, err := rs.NewTable(g)
-	if err != nil {
-		return nil, 0, err
-	}
-	cols, ok := pairColumns(s, old)
-	if !ok {
-		// Aux layout mismatch between the two tables — should not
-		// happen for one method, but a full rescore is always correct.
-		full, ferr := m.ScoreCtx(ctx, g, o)
-		if ferr != nil {
-			return nil, 0, ferr
-		}
-		return full, g.NumEdges(), nil
-	}
-
-	var dirtyNode []bool
+	rows := diff.Changed
 	if m.Delta.Dirtiness == DirtyEndpoints {
-		dirtyNode = make([]bool, g.NumNodes())
-		for _, u := range dirty.Nodes {
-			dirtyNode[u] = true
-		}
+		rows = diff.Frontier
 	}
-
-	dirtyRuns := planRescore(old.G.Edges(), g.Edges(), dirtyNode, cols)
-
 	rescored := 0
-	for _, r := range dirtyRuns {
-		for lo := r[0]; lo < r[1]; lo += Checkpoint {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-			hi := lo + Checkpoint
-			if hi > r[1] {
-				hi = r[1]
-			}
-			rs.ScoreEdges(s, lo, hi)
-			rescored += hi - lo
+	for i := 0; i < len(rows); {
+		if err := ctx.Err(); err != nil {
+			return nil, 0, err
 		}
+		lo := int(rows[i])
+		hi := lo + 1
+		i++
+		for i < len(rows) && int(rows[i]) == hi && hi-lo < Checkpoint {
+			hi++
+			i++
+		}
+		rs.ScoreEdges(s, lo, hi)
+		rescored += hi - lo
 	}
 	return s, rescored, nil
 }
@@ -269,70 +218,4 @@ func pairColumns(s, old *Scores) ([]colPair, bool) {
 		cols = append(cols, colPair{dst: s.Aux[name], src: src})
 	}
 	return cols, true
-}
-
-// planRescore walks old and new canonical edge slices in lockstep,
-// copies clean rows from the old columns into the new ones (in
-// contiguous runs, so the copies are memmoves) and returns the [lo, hi)
-// row runs that must be re-scored. A new row is clean when it matches
-// an old edge bit-for-bit in weight and — when an endpoint frontier
-// applies — touches no dirty node; inserted rows and rows whose weight
-// changed are dirty, and deleted old edges only break run contiguity.
-func planRescore(oldEdges, newEdges []graph.Edge, dirtyNode []bool, cols []colPair) [][2]int {
-	var runs [][2]int
-	markDirty := func(row int) {
-		if k := len(runs); k > 0 && runs[k-1][1] == row {
-			runs[k-1][1] = row + 1
-			return
-		}
-		runs = append(runs, [2]int{row, row + 1})
-	}
-	// Current clean run: new rows [runNew, runNew+runLen) mirror old
-	// rows [runOld, runOld+runLen). Matched pairs advance both cursors
-	// together, so an unbroken run is contiguous on both sides.
-	runNew, runOld, runLen := 0, 0, 0
-	flush := func() {
-		if runLen == 0 {
-			return
-		}
-		for _, c := range cols {
-			copy(c.dst[runNew:runNew+runLen], c.src[runOld:runOld+runLen])
-		}
-		runLen = 0
-	}
-	i, j := 0, 0
-	for j < len(newEdges) {
-		if i < len(oldEdges) {
-			oe, ne := oldEdges[i], newEdges[j]
-			if oe.Src == ne.Src && oe.Dst == ne.Dst {
-				clean := math.Float64bits(oe.Weight) == math.Float64bits(ne.Weight) &&
-					(dirtyNode == nil || (!dirtyNode[ne.Src] && !dirtyNode[ne.Dst]))
-				if clean {
-					if runLen == 0 {
-						runNew, runOld = j, i
-					}
-					runLen++
-				} else {
-					flush()
-					markDirty(j)
-				}
-				i++
-				j++
-				continue
-			}
-			if oe.Src < ne.Src || (oe.Src == ne.Src && oe.Dst < ne.Dst) {
-				// Old edge deleted: no new row, but the old-side cursor
-				// jumps, so any open run must flush.
-				flush()
-				i++
-				continue
-			}
-		}
-		// New edge with no old counterpart: inserted, always dirty.
-		flush()
-		markDirty(j)
-		j++
-	}
-	flush()
-	return runs
 }

@@ -40,6 +40,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -58,9 +59,9 @@ type Update struct {
 // newly materialized graph, Base the previous one, and Nodes the sorted
 // unique endpoints of every update applied in between. It is the input
 // filter.RescoreDirty needs to re-score only the affected rows of a
-// score table computed for Base. Diff, when non-nil, additionally maps
-// the two graphs' score-table rows onto each other so the re-scorer
-// does not even have to diff the edge slices.
+// score table computed for Base. Diff maps the two graphs' score-table
+// rows onto each other; every record Delta.Graph returns carries one
+// (only hand-built records lack it).
 //
 // Exclusive reports that the overlay runs in exclusive mode (see
 // SetExclusive): Base has been surrendered — its arrays may already
@@ -75,13 +76,14 @@ type Dirty struct {
 }
 
 // RowDiff is the row-level diff between Base's and For's canonical edge
-// slices, precomputed during materialization where the patch positions
-// are already known. Copies are the maximal runs of rows present in
-// both graphs under the same edge key (weights included unchanged,
-// since changed keys terminate every run); Changed lists For's rows
-// that were inserted or re-weighted by the batch; Frontier lists every
-// For row incident to a node in Dirty.Nodes, Changed included. Both row
-// lists are sorted ascending.
+// slices, recorded during materialization. Copies are the runs of rows
+// present in both graphs under the same edge key and weight, ascending
+// and disjoint on both sides; Changed lists For's rows that were
+// inserted or re-weighted (an incremental materialization also lists
+// rows the batch re-set to their old weight); together they cover
+// For's rows exactly once. Frontier lists every For row incident to a
+// node in Dirty.Nodes, Changed included. Both row lists are sorted
+// ascending.
 type RowDiff struct {
 	Copies   []SegCopy
 	Changed  []int32
@@ -230,7 +232,12 @@ func (d *Delta) Graph() (*Graph, Dirty) {
 	dirty := Dirty{Base: d.last, Nodes: dedupNodes(d.recent), Exclusive: d.exclusive}
 	var g *Graph
 	if len(d.patch) == 0 {
+		// Nothing applied since construction: For is Base, row for row.
 		g = d.base
+		dirty.Diff = &RowDiff{}
+		if m := len(g.edges); m > 0 {
+			dirty.Diff.Copies = []SegCopy{{Len: int32(m)}}
+		}
 	} else {
 		g, dirty.Diff = d.materialize(dirty.Nodes)
 		if len(d.patch) >= d.limit {
@@ -244,16 +251,57 @@ func (d *Delta) Graph() (*Graph, Dirty) {
 	return g, dirty
 }
 
-// materialize builds the merged graph. Small batches take the
-// incremental path — patch the previous materialization and report a
-// RowDiff; batches a sizable fraction of the graph fall back to the
-// full base+patch merge, where per-key binary searches would cost more
-// than one linear pass.
+// materialize builds the merged graph and its RowDiff against the
+// previous materialization. Small batches take the incremental path,
+// which records the diff while patching; batches a sizable fraction of
+// the graph fall back to the full base+patch merge, where per-key
+// binary searches would cost more than one linear pass, and derive the
+// diff in one lockstep walk.
 func (d *Delta) materialize(dirtyNodes []int32) (*Graph, *RowDiff) {
 	if len(d.sinceLast) == 0 || len(d.sinceLast)*8 > len(d.last.edges)+64 {
-		return d.materializeFull(), nil
+		g := d.materializeFull()
+		return g, diffRows(d.last.edges, g.edges, dirtyNodes, g.NumNodes())
 	}
 	return d.materializeDelta(dirtyNodes)
+}
+
+// diffRows walks two canonical edge slices in lockstep. A cur row whose
+// key and weight bits match an old row extends (or opens) a copy run;
+// any other cur row is Changed. A row is on the frontier when it is
+// Changed or touches a dirty node.
+func diffRows(old, cur []Edge, dirtyNodes []int32, n int) *RowDiff {
+	dirty := make([]bool, n)
+	for _, u := range dirtyNodes {
+		dirty[u] = true
+	}
+	// A batch this large dirties most rows' endpoints: size the frontier
+	// for all of them up front.
+	diff := &RowDiff{Frontier: make([]int32, 0, len(cur))}
+	i := 0
+	for j, e := range cur {
+		for i < len(old) && (old[i].Src < e.Src || old[i].Src == e.Src && old[i].Dst < e.Dst) {
+			i++ // deleted from old
+		}
+		changed := true
+		if i < len(old) && old[i].Src == e.Src && old[i].Dst == e.Dst {
+			if changed = math.Float64bits(old[i].Weight) != math.Float64bits(e.Weight); !changed {
+				k := len(diff.Copies) - 1
+				if k >= 0 && diff.Copies[k].BaseLo+diff.Copies[k].Len == int32(i) && diff.Copies[k].ForLo+diff.Copies[k].Len == int32(j) {
+					diff.Copies[k].Len++
+				} else {
+					diff.Copies = append(diff.Copies, SegCopy{BaseLo: int32(i), ForLo: int32(j), Len: 1})
+				}
+			}
+			i++
+		}
+		if changed {
+			diff.Changed = append(diff.Changed, int32(j))
+		}
+		if changed || dirty[e.Src] || dirty[e.Dst] {
+			diff.Frontier = append(diff.Frontier, int32(j))
+		}
+	}
+	return diff
 }
 
 // materializeFull merges base edges with the whole patch in one linear

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -402,4 +404,103 @@ func FuzzApplyDelta(f *testing.F) {
 		flush()
 		check()
 	})
+}
+
+// TestDeltaRowDiff pins the RowDiff every materialization reports, on
+// both sides of the incremental/full-merge cutover (batches of 3 and of
+// m/4 updates over ~150 edges) and for a Graph() with no updates: Copies
+// and Changed partition For's rows in ascending, disjoint ranges, copied
+// rows equal the previous materialization's rows bit for bit, and
+// Frontier is exactly the rows incident to Dirty.Nodes. The previous
+// edges are snapshotted because an exclusive overlay may overwrite them.
+func TestDeltaRowDiff(t *testing.T) {
+	for _, exclusive := range []bool{false, true} {
+		for _, directed := range []bool{false, true} {
+			for _, limit := range []int{0, 50} {
+				rng := rand.New(rand.NewSource(7))
+				n := 40
+				base := randomBase(rng, directed, n, 150)
+				d := NewDelta(base, limit)
+				d.SetExclusive(exclusive)
+				name := func(step int) string {
+					return fmt.Sprintf("exclusive=%v directed=%v limit=%d step %d", exclusive, directed, limit, step)
+				}
+				prev := append([]Edge(nil), base.Edges()...)
+				prevG := base
+				for step := 0; step < 24; step++ {
+					size := 0 // step 0: a Graph() with no updates
+					if step > 0 {
+						size = 3
+						if step%3 == 0 {
+							size = len(prev)/4 + 20
+						}
+					}
+					batch := make([]Update, size)
+					for i := range batch {
+						batch[i] = randomUpdate(rng, n)
+					}
+					if err := d.Apply(batch); err != nil {
+						t.Fatalf("%s: %v", name(step), err)
+					}
+					g, dirty := d.Graph()
+					if dirty.Diff == nil {
+						t.Fatalf("%s: Diff is nil", name(step))
+					}
+					if dirty.Base != prevG || dirty.For != g {
+						t.Fatalf("%s: dirty record does not chain from the previous materialization", name(step))
+					}
+					checkRowDiff(t, name(step), prev, g, dirty)
+					prev, prevG = append([]Edge(nil), g.Edges()...), g
+				}
+			}
+		}
+	}
+}
+
+// checkRowDiff verifies one Dirty record's RowDiff against the previous
+// materialization's edges and the new graph.
+func checkRowDiff(t *testing.T, name string, prev []Edge, g *Graph, dirty Dirty) {
+	t.Helper()
+	cur := g.Edges()
+	diff := dirty.Diff
+	covered := make([]int, len(cur))
+	baseEnd, forEnd := int32(0), int32(0)
+	for k, sc := range diff.Copies {
+		if sc.Len <= 0 || sc.BaseLo < baseEnd || sc.ForLo < forEnd ||
+			int(sc.BaseLo+sc.Len) > len(prev) || int(sc.ForLo+sc.Len) > len(cur) {
+			t.Fatalf("%s: copy %d %+v out of order or out of range", name, k, sc)
+		}
+		baseEnd, forEnd = sc.BaseLo+sc.Len, sc.ForLo+sc.Len
+		for r := int32(0); r < sc.Len; r++ {
+			b, f := prev[sc.BaseLo+r], cur[sc.ForLo+r]
+			if b.Src != f.Src || b.Dst != f.Dst || math.Float64bits(b.Weight) != math.Float64bits(f.Weight) {
+				t.Fatalf("%s: copied row %d = %+v, base row %d = %+v", name, sc.ForLo+r, f, sc.BaseLo+r, b)
+			}
+			covered[sc.ForLo+r]++
+		}
+	}
+	for k, r := range diff.Changed {
+		if k > 0 && r <= diff.Changed[k-1] {
+			t.Fatalf("%s: Changed not strictly ascending: %v", name, diff.Changed)
+		}
+		covered[r]++
+	}
+	for r, c := range covered {
+		if c != 1 {
+			t.Fatalf("%s: row %d covered %d times by Copies and Changed", name, r, c)
+		}
+	}
+	dirtyNode := make(map[int32]bool, len(dirty.Nodes))
+	for _, u := range dirty.Nodes {
+		dirtyNode[u] = true
+	}
+	var want []int32
+	for r, e := range cur {
+		if dirtyNode[e.Src] || dirtyNode[e.Dst] {
+			want = append(want, int32(r))
+		}
+	}
+	if !slices.Equal(diff.Frontier, want) {
+		t.Fatalf("%s: Frontier = %v, want %v", name, diff.Frontier, want)
+	}
 }

@@ -177,7 +177,8 @@ func WithScores(s *Scores) Option {
 // rescore transparently. Either way the resulting table is
 // bit-identical to scoring from scratch. The graph passed to the run
 // must be dirty.For (enforced), and old, when set, must have been
-// computed for dirty.Base by the same method. Mutually exclusive with
+// computed for dirty.Base by the same method. When dirty.Exclusive is
+// set the run consumes old, even if it fails. Mutually exclusive with
 // WithScores.
 func WithDirtyScores(old *Scores, dirty Dirty) Option {
 	return func(c *config) { c.dirtyOld, c.dirty, c.dirtySet = old, dirty, true }
@@ -292,13 +293,7 @@ func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, er
 	start := time.Now()
 	scores := c.scores
 	if c.dirtySet {
-		if scores != nil {
-			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "WithScores and WithDirtyScores are mutually exclusive"}
-		}
-		if c.dirty.For != g {
-			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "dirty record describes a different graph"}
-		}
-		if scores, _, err = filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so); err != nil {
+		if scores, err = c.dirtyScores(ctx, g, m, so); err != nil {
 			return nil, err
 		}
 	}
@@ -376,16 +371,22 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 	}
 	so := filter.ScoreOpts{Progress: c.progress}
 	if c.dirtySet {
-		if c.scores != nil {
-			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "WithScores and WithDirtyScores are mutually exclusive"}
-		}
-		if c.dirty.For != g {
-			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "dirty record describes a different graph"}
-		}
-		s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
-		return s, err
+		return c.dirtyScores(ctx, g, m, so)
 	}
 	return m.ScoreCtx(ctx, g, so)
+}
+
+// dirtyScores is the WithDirtyScores step Backbone and Score share:
+// check the option against g and bring the previous table forward.
+func (c *config) dirtyScores(ctx context.Context, g *Graph, m *Method, so filter.ScoreOpts) (*Scores, error) {
+	if c.scores != nil {
+		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "WithScores and WithDirtyScores are mutually exclusive"}
+	}
+	if c.dirty.For != g {
+		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "dirty record describes a different graph"}
+	}
+	s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
+	return s, err
 }
 
 // ValidateScore runs the option checks Score makes before any work and
