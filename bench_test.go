@@ -163,14 +163,14 @@ func fig9Graph(b *testing.B, n int) *graph.Graph {
 
 func benchScorer(b *testing.B, short string, n int) {
 	g := fig9Graph(b, n)
-	m, err := exp.MethodByShort(short)
+	m, err := LookupMethod(short)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.BackboneWithShare(m, g, 0.1); err != nil {
+		if _, err := exp.BackboneWithShare(context.Background(), m, g, 0.1); err != nil {
 			if short == "ds" {
 				// Sparse ER graphs rarely have the total support the
 				// Sinkhorn scaling needs; the paper's Fig 9 could not run

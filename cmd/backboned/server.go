@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -877,13 +878,13 @@ type tableSource func(m *repro.Method) (sc *repro.Scores, hit bool, err error)
 // table is the first half of the execute step /backbone, /score and
 // the session reads share. It returns the method's table when one is
 // worth having (nil when the method extracts directly) and whether
-// serving it scored nothing. A precomputed table only helps when
-// something will prune it: top/frac, the method's own Cut rule, or a
-// score response. A scorer without Cut (ds) otherwise runs its
-// Extractor as always. An extract-only method cannot answer a score
-// request; the pipeline names the typed error.
+// serving it scored nothing. A table is wanted by a score response or
+// by the cut itself (Method.NeedsTable: top/frac, or the method's own
+// Cut rule); a scorer without Cut (ds) otherwise runs its Extractor.
+// An extract-only method cannot answer a score request; the pipeline
+// names the typed error.
 func (s *server) table(c *call, req *runRequest, scoreOnly bool, src tableSource) (*repro.Scores, bool, error) {
-	if req.method.CanScore() && (scoreOnly || req.topSet || req.method.Cut != nil) {
+	if scoreOnly && req.method.CanScore() || req.method.NeedsTable(req.topSet) {
 		return src(req.method)
 	}
 	if !scoreOnly {
@@ -1028,7 +1029,26 @@ type edgeJSON struct {
 	Src    string  `json:"src"`
 	Dst    string  `json:"dst"`
 	Weight float64 `json:"weight"`
-	Score  float64 `json:"score,omitempty"`
+}
+
+// scoreJSON is one /score row. Every row carries its score, a zero
+// salience included.
+type scoreJSON struct {
+	edgeJSON
+	Score scoreValue `json:"score"`
+}
+
+// scoreValue encodes a score as a JSON number, or as null when it is
+// not finite (nc-binomial's underflowed p-values, nc's zero-variance
+// rows) — the convention repro.Float uses, where encoding/json would
+// fail the whole reply.
+type scoreValue float64
+
+func (v scoreValue) MarshalJSON() ([]byte, error) {
+	if f := float64(v); !math.IsNaN(f) && !math.IsInf(f, 0) {
+		return json.Marshal(f)
+	}
+	return []byte("null"), nil
 }
 
 // graphEdges flattens a graph's canonical edges into wire form.
@@ -1074,16 +1094,21 @@ func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *rep
 	edges := g.Edges()
 	w.Header().Set("X-Backbone-Method", req.method.Name)
 	w.Header().Set("X-Backbone-Edges", strconv.Itoa(len(edges)))
+	row := func(i int, e repro.Edge) scoreJSON {
+		return scoreJSON{
+			edgeJSON: edgeJSON{Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)), Weight: e.Weight},
+			Score:    scoreValue(scores.Score[i]),
+		}
+	}
 	if req.asJSON {
-		rows := make([]edgeJSON, 0, len(edges))
+		rows := make([]scoreJSON, 0, len(edges))
 		for i, e := range edges {
-			rows = append(rows, edgeJSON{
-				Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)),
-				Weight: e.Weight, Score: scores.Score[i],
-			})
+			rows = append(rows, row(i, e))
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"method": req.method.Name, "scores": rows})
+		if err := json.NewEncoder(w).Encode(map[string]any{"method": req.method.Name, "scores": rows}); err != nil {
+			s.logf("write response: %v", err)
+		}
 		return
 	}
 	w.Header().Set("Content-Type", responseContentType(req.outFormat))
@@ -1093,10 +1118,10 @@ func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *rep
 	case "ndjson":
 		enc := json.NewEncoder(bw)
 		for i, e := range edges {
-			enc.Encode(edgeJSON{
-				Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)),
-				Weight: e.Weight, Score: scores.Score[i],
-			})
+			if err := enc.Encode(row(i, e)); err != nil {
+				s.logf("write response: %v", err)
+				return
+			}
 		}
 	default:
 		sep := ","

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +247,92 @@ func TestScoreEndpoint(t *testing.T) {
 	}
 	if out.Method != "nc" || len(out.Scores) != g.NumEdges() {
 		t.Errorf("got %d scores from %q, want %d from nc", len(out.Scores), out.Method, g.NumEdges())
+	}
+}
+
+// TestScoreRowsCarryEveryScore: /score and /session/{id}/score encode
+// every row with its score field — an HSS salience of 0 included — and
+// a non-finite score (nc-binomial's underflowed p-value) as null, in
+// both JSON shapes, so the reply always holds X-Backbone-Edges rows.
+func TestScoreRowsCarryEveryScore(t *testing.T) {
+	_, ts := newTestServer(t, 2, 5*time.Second)
+	cases := []struct {
+		method, body string
+		want         map[string]string // "src-dst" -> raw JSON score
+	}{
+		{"hss", "a,b,10\nb,c,10\na,c,0.001\n", map[string]string{"a-c": "0"}},
+		{"nc-binomial", "a,b,100000\na,c,1\nb,c,1\nc,d,1\nd,a,1\n", map[string]string{"a-b": "null"}},
+	}
+	for _, tc := range cases {
+		sess := openSession(t, ts.URL, bytes.NewBufferString(tc.body))
+		defer sess.close()
+		for _, endpoint := range []string{"stateless", "session"} {
+			for _, shape := range []string{"response=json", "outformat=ndjson"} {
+				query := "method=" + tc.method + "&" + shape
+				var resp *http.Response
+				var raw []byte
+				if endpoint == "session" {
+					resp, raw = sess.get("score", query)
+				} else {
+					var err error
+					resp, err = http.Post(ts.URL+"/score?"+query, "text/csv", strings.NewReader(tc.body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, _ = io.ReadAll(resp.Body)
+					resp.Body.Close()
+				}
+				name := tc.method + " " + endpoint + " " + shape
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", name, resp.StatusCode, raw)
+				}
+				var rows []map[string]json.RawMessage
+				if shape == "response=json" {
+					var doc struct {
+						Scores []map[string]json.RawMessage `json:"scores"`
+					}
+					if err := json.Unmarshal(raw, &doc); err != nil {
+						t.Fatalf("%s: %v in %q", name, err, raw)
+					}
+					rows = doc.Scores
+				} else {
+					for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+						var row map[string]json.RawMessage
+						if err := json.Unmarshal([]byte(line), &row); err != nil {
+							t.Fatalf("%s: %v in %q", name, err, line)
+						}
+						rows = append(rows, row)
+					}
+				}
+				if n := resp.Header.Get("X-Backbone-Edges"); n != strconv.Itoa(len(rows)) {
+					t.Errorf("%s: X-Backbone-Edges %s but %d rows", name, n, len(rows))
+				}
+				seen := 0
+				for _, row := range rows {
+					score, ok := row["score"]
+					if !ok {
+						t.Errorf("%s: row without score: %v", name, row)
+						continue
+					}
+					var src, dst string
+					if err := json.Unmarshal(row["src"], &src); err != nil {
+						t.Fatalf("%s: src: %v", name, err)
+					}
+					if err := json.Unmarshal(row["dst"], &dst); err != nil {
+						t.Fatalf("%s: dst: %v", name, err)
+					}
+					if want, ok := tc.want[src+"-"+dst]; ok {
+						seen++
+						if string(score) != want {
+							t.Errorf("%s: %s-%s score %s, want %s", name, src, dst, score, want)
+						}
+					}
+				}
+				if seen != len(tc.want) {
+					t.Errorf("%s: found %d of the %d checked rows", name, seen, len(tc.want))
+				}
+			}
+		}
 	}
 }
 

@@ -91,12 +91,3 @@ func (d *Disparity) ScoreEdges(s *filter.Scores, lo, hi int) {
 func (d *Disparity) Scores(g *graph.Graph) (*filter.Scores, error) {
 	return filter.Serial(d, g)
 }
-
-// Backbone keeps edges significant at level alpha.
-func (d *Disparity) Backbone(g *graph.Graph, alpha float64) (*graph.Graph, error) {
-	s, err := d.Scores(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Threshold(1 - alpha), nil
-}

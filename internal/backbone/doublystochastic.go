@@ -170,14 +170,14 @@ func (ds *DoublyStochastic) Extract(g *graph.Graph) (*graph.Graph, error) {
 	})
 	uf := unionfind.New(g.NumNodes())
 	target := 1 + g.NumIsolates() // isolated nodes stay singleton sets
-	keep := make(map[int32]bool)
+	keep := make([]bool, len(s.Score))
 	for _, id := range ids {
 		e := g.Edge(id)
-		keep[int32(id)] = true
+		keep[id] = true
 		uf.Union(int(e.Src), int(e.Dst))
 		if uf.Sets() == target {
 			break
 		}
 	}
-	return g.KeepEdges(keep), nil
+	return g.Subgraph(keep), nil
 }

@@ -63,16 +63,6 @@ func (h *HSS) Scores(g *graph.Graph) (*filter.Scores, error) {
 	return s, nil
 }
 
-// Backbone keeps edges with salience strictly above the threshold
-// (0.5 is a customary choice given the bimodal salience distribution).
-func (h *HSS) Backbone(g *graph.Graph, salience float64) (*graph.Graph, error) {
-	s, err := h.Scores(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Threshold(salience), nil
-}
-
 // dijkstraSPT computes the shortest-path tree from root over distances
 // 1/weight, writing distances, parent edge IDs (-1 for none) and
 // visitation flags into the provided scratch slices.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filter"
 	"repro/internal/graph"
 )
 
@@ -44,10 +45,7 @@ func TestHSSBridgeSalience(t *testing.T) {
 			t.Errorf("salience out of [0,1]: %v", s.Score[i])
 		}
 	}
-	bb, err := NewHSS().Backbone(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bb := cut(t, "hss", g, filter.Params{"salience": 0.5})
 	if _, ok := bb.Weight(3, 4); !ok {
 		t.Error("bridge dropped by HSS backbone")
 	}

@@ -104,13 +104,3 @@ func (k *KCore) Scores(g *graph.Graph) (*filter.Scores, error) {
 	}
 	return s, nil
 }
-
-// Backbone keeps the edges of the k-core: both endpoints survive
-// recursive removal of nodes with degree < k.
-func (k *KCore) Backbone(g *graph.Graph, kMin int) (*graph.Graph, error) {
-	s, err := k.Scores(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Threshold(float64(kMin) - 0.5), nil
-}

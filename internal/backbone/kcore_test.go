@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filter"
 	"repro/internal/graph"
 )
 
@@ -42,10 +43,7 @@ func TestKCoreBackbone(t *testing.T) {
 	b.MustAddEdge(3, 4, 1)
 	b.MustAddEdge(4, 5, 1)
 	g := b.Build()
-	bb, err := NewKCore().Backbone(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bb := cut(t, "kcore", g, filter.Params{"k": 2})
 	if bb.NumEdges() != 3 {
 		t.Fatalf("2-core kept %d edges, want the triangle", bb.NumEdges())
 	}
@@ -54,10 +52,7 @@ func TestKCoreBackbone(t *testing.T) {
 			t.Errorf("non-triangle edge %+v in 2-core", e)
 		}
 	}
-	all, err := NewKCore().Backbone(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := cut(t, "kcore", g, filter.Params{"k": 1})
 	if all.NumEdges() != g.NumEdges() {
 		t.Errorf("1-core kept %d edges, want all", all.NumEdges())
 	}

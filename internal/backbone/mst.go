@@ -45,12 +45,10 @@ func (m *MST) Extract(g *graph.Graph) (*graph.Graph, error) {
 		return ids[a] < ids[b]
 	})
 	uf := unionfind.New(u.NumNodes())
-	keep := make(map[int32]bool, u.NumNodes()-1)
+	keep := make([]bool, len(edges))
 	for _, id := range ids {
 		e := edges[id]
-		if uf.Union(int(e.Src), int(e.Dst)) {
-			keep[int32(id)] = true
-		}
+		keep[id] = uf.Union(int(e.Src), int(e.Dst))
 	}
-	return u.KeepEdges(keep), nil
+	return u.Subgraph(keep), nil
 }

@@ -51,12 +51,3 @@ func (n *Naive) ScoreEdges(s *filter.Scores, lo, hi int) {
 func (n *Naive) Scores(g *graph.Graph) (*filter.Scores, error) {
 	return filter.Serial(n, g)
 }
-
-// Backbone keeps edges with weight strictly above the threshold.
-func (n *Naive) Backbone(g *graph.Graph, threshold float64) (*graph.Graph, error) {
-	s, err := n.Scores(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Threshold(threshold), nil
-}

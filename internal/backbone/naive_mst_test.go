@@ -1,12 +1,33 @@
 package backbone
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filter"
 	"repro/internal/graph"
 )
+
+// cut extracts the registered method's native backbone at the given
+// parameter overrides — the shipped Cut rule, not a restatement of it.
+func cut(t *testing.T, name string, g *graph.Graph, overrides filter.Params) *graph.Graph {
+	t.Helper()
+	m, err := filter.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.Resolve(overrides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, _, err := m.BackboneCtx(context.Background(), g, p, -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bb
+}
 
 func line(t *testing.T, weights ...float64) *graph.Graph {
 	t.Helper()
@@ -20,11 +41,7 @@ func line(t *testing.T, weights ...float64) *graph.Graph {
 
 func TestNaiveThreshold(t *testing.T) {
 	g := line(t, 1, 5, 3, 10)
-	nt := NewNaive()
-	bb, err := nt.Backbone(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bb := cut(t, "nt", g, filter.Params{"threshold": 3})
 	if bb.NumEdges() != 2 {
 		t.Fatalf("kept %d edges, want 2 (weights 5 and 10)", bb.NumEdges())
 	}
@@ -36,7 +53,7 @@ func TestNaiveThreshold(t *testing.T) {
 	if bb.NumNodes() != g.NumNodes() {
 		t.Error("node set not preserved")
 	}
-	if _, err := nt.Scores(graph.NewBuilder(true).Build()); err == nil {
+	if _, err := NewNaive().Scores(graph.NewBuilder(true).Build()); err == nil {
 		t.Error("empty graph accepted")
 	}
 }

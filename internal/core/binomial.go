@@ -71,12 +71,3 @@ func (b *BinomialPValues) ScoreEdges(out *filter.Scores, lo, hi int) {
 func (b *BinomialPValues) Scores(g *graph.Graph) (*filter.Scores, error) {
 	return filter.Serial(b, g)
 }
-
-// Backbone keeps edges whose Binomial p-value is below alpha.
-func (b *BinomialPValues) Backbone(g *graph.Graph, alpha float64) (*graph.Graph, error) {
-	s, err := b.Scores(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Threshold(-math.Log10(alpha)), nil
-}

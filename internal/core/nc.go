@@ -185,18 +185,6 @@ func (nc *NoiseCorrected) Scores(g *graph.Graph) (*filter.Scores, error) {
 	return filter.Serial(nc, g)
 }
 
-// Backbone extracts the NC backbone at significance δ: edges whose
-// symmetrized lift exceeds δ posterior standard deviations. Common
-// δ values are 1.28, 1.64 and 2.32, approximating one-tailed p-values
-// of 0.10, 0.05 and 0.01.
-func (nc *NoiseCorrected) Backbone(g *graph.Graph, delta float64) (*graph.Graph, error) {
-	s, err := nc.Scores(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.Threshold(delta), nil
-}
-
 // DeltaToPValue converts a δ threshold to the one-tailed p-value it
 // approximates under a normal score distribution.
 func DeltaToPValue(delta float64) float64 { return 1 - stats.NormalCDF(delta) }

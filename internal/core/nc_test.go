@@ -1,13 +1,34 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filter"
 	"repro/internal/graph"
 )
+
+// cut extracts the registered method's native backbone at the given
+// parameter overrides — the shipped Cut rule, not a restatement of it.
+func cut(t *testing.T, name string, g *graph.Graph, overrides filter.Params) *graph.Graph {
+	t.Helper()
+	m, err := filter.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.Resolve(overrides)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, _, err := m.BackboneCtx(context.Background(), g, p, -1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bb
+}
 
 func approx(t *testing.T, got, want, tol float64, msg string) {
 	t.Helper()
@@ -178,18 +199,11 @@ func TestScoresUndirectedConventions(t *testing.T) {
 
 func TestBackboneThresholding(t *testing.T) {
 	g := buildTestGraph(true)
-	nc := New()
-	all, err := nc.Backbone(g, math.Inf(-1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := cut(t, "nc", g, filter.Params{"delta": math.Inf(-1)})
 	if all.NumEdges() != g.NumEdges() {
 		t.Errorf("delta=-inf should keep all edges, kept %d", all.NumEdges())
 	}
-	none, err := nc.Backbone(g, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	none := cut(t, "nc", g, filter.Params{"delta": math.Inf(1)})
 	if none.NumEdges() != 0 {
 		t.Errorf("delta=+inf should drop all edges, kept %d", none.NumEdges())
 	}
@@ -197,8 +211,8 @@ func TestBackboneThresholding(t *testing.T) {
 		t.Error("node set must be preserved after pruning")
 	}
 	// Monotone: higher delta keeps a subset.
-	b1, _ := nc.Backbone(g, 0.5)
-	b2, _ := nc.Backbone(g, 2.0)
+	b1 := cut(t, "nc", g, filter.Params{"delta": 0.5})
+	b2 := cut(t, "nc", g, filter.Params{"delta": 2.0})
 	if b2.NumEdges() > b1.NumEdges() {
 		t.Errorf("delta=2 kept %d > delta=0.5 kept %d", b2.NumEdges(), b1.NumEdges())
 	}
@@ -275,19 +289,13 @@ func TestBinomialVariantAgreesOnStrongEdges(t *testing.T) {
 
 func TestBinomialBackboneAlpha(t *testing.T) {
 	g := buildTestGraph(true)
-	bb, err := NewBinomial().Backbone(g, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bb := cut(t, "nc-binomial", g, filter.Params{"alpha": 1.0})
 	// alpha = 1 keeps edges with pvalue < 1: all edges here have pvalue
 	// strictly below 1 because they have positive weight.
 	if bb.NumEdges() == 0 {
 		t.Error("alpha=1 dropped everything")
 	}
-	none, err := NewBinomial().Backbone(g, 1e-300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	none := cut(t, "nc-binomial", g, filter.Params{"alpha": 1e-300})
 	if none.NumEdges() != 0 {
 		t.Errorf("alpha=1e-300 kept %d edges", none.NumEdges())
 	}

@@ -184,32 +184,12 @@ func run(ctx context.Context, g *graph.Graph, cfg Config, sizeMatched bool) (*Re
 	if reg == nil {
 		reg = filter.Default
 	}
-	names := cfg.Methods
-	if len(names) == 0 {
-		names = reg.Names()
-	}
-	selected := make([]*filter.Method, 0, len(names))
-	for _, name := range names {
-		m, err := reg.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		selected = append(selected, m)
-	}
-	// Ride-along parameters must be declared by at least one selected
-	// method — an undeclared one is a misspelling (BackboneAll rule).
-	// Sorted order pins which one the error names.
-	for _, name := range cfg.Params.Names() {
-		declared := false
-		for _, m := range selected {
-			if _, ok := m.Param(name); ok {
-				declared = true
-				break
-			}
-		}
-		if !declared {
-			return nil, &filter.ParamError{Param: name, Reason: "no selected method declares this parameter", Err: filter.ErrUnknownParam}
-		}
+	// Ride-along parameters follow BackboneAll's rule: each method
+	// resolves the ones it declares, and one no selected method declares
+	// is a misspelling.
+	selected, err := reg.Select(cfg.Methods, cfg.Params)
+	if err != nil {
+		return nil, err
 	}
 
 	// Comparison size for rankable methods.
@@ -315,19 +295,6 @@ func ranking(evals []*MethodEval) []string {
 	return out
 }
 
-// lenientParams keeps only the overrides the method declares —
-// BackboneAll's ride-along semantics.
-func lenientParams(m *filter.Method, overrides filter.Params) filter.Params {
-	kept := filter.Params{}
-	//lint:detiter-ok filtering into another map; the kept set is order-independent
-	for name, v := range overrides {
-		if _, ok := m.Param(name); ok {
-			kept[name] = v
-		}
-	}
-	return kept
-}
-
 // evaluateMethod runs one method and grades its backbone. Failures land
 // in MethodEval.Err (criteria NaN), matching the "n/a" cells of the
 // paper's tables; context expiry is surfaced the same way and promoted
@@ -341,7 +308,7 @@ func evaluateMethod(ctx context.Context, g *graph.Graph, m *filter.Method, cfg C
 	}
 	defer func() { me.DurationMs = time.Since(start).Milliseconds() }()
 
-	params, err := m.Resolve(lenientParams(m, cfg.Params))
+	params, err := m.Resolve(m.Declared(cfg.Params))
 	if err != nil {
 		me.Err = err.Error()
 		return me
@@ -362,36 +329,18 @@ func evaluateMethod(ctx context.Context, g *graph.Graph, m *filter.Method, cfg C
 		return m.ScoreCtx(ctx, g, opts)
 	}
 
-	var bb *graph.Graph
-	switch {
-	case sizeMatched && m.CanScore() && !m.FixedSize:
-		s, err := score()
-		if err != nil {
-			me.Err = err.Error()
-			return me
-		}
-		bb = s.TopK(target)
-	case !sizeMatched && m.CanScore() && m.Cut != nil:
-		s, err := score()
-		if err != nil {
-			me.Err = err.Error()
-			return me
-		}
-		bb = s.Threshold(m.Cut(params))
-	default:
-		// Fixed-size and extract-only methods (mst; ds in both modes, in
-		// Evaluate mode because its default backbone is its extractor's):
-		// their natural output, regardless of the comparison size — the
-		// paper plots them as single points.
-		if err := ctx.Err(); err != nil {
-			me.Err = err.Error()
-			return me
-		}
-		bb, err = m.Extractor.Extract(g)
-		if err != nil {
-			me.Err = err.Error()
-			return me
-		}
+	// Fixed-size and extract-only methods (mst; ds in both modes, in
+	// Evaluate mode because its default backbone is its extractor's)
+	// keep their natural output regardless of the comparison size — the
+	// paper plots them as single points.
+	k := -1
+	if sizeMatched && m.CanScore() && !m.FixedSize {
+		k = target
+	}
+	bb, _, err := m.BackboneCtx(ctx, g, params, k, score)
+	if err != nil {
+		me.Err = err.Error()
+		return me
 	}
 
 	me.Edges = bb.NumEdges()

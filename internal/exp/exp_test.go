@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/filter"
 	"repro/internal/occupations"
 	"repro/internal/world"
 )
@@ -27,16 +28,13 @@ func TestMethodsRegistry(t *testing.T) {
 	if len(ms) != 6 {
 		t.Fatalf("methods = %d, want 6", len(ms))
 	}
-	for _, m := range ms {
-		if m.Scorer == nil && m.Extractor == nil {
-			t.Errorf("%s has neither scorer nor extractor", m.Short)
+	for i, m := range ms {
+		if m.Name != paperOrder[i] {
+			t.Errorf("method %d = %s, want %s", i, m.Name, paperOrder[i])
 		}
-	}
-	if _, err := MethodByShort("nc"); err != nil {
-		t.Error(err)
-	}
-	if _, err := MethodByShort("bogus"); err == nil {
-		t.Error("unknown method accepted")
+		if reg, err := filter.Lookup(m.Name); err != nil || reg != m {
+			t.Errorf("%s is not the registry's method (%v)", m.Name, err)
+		}
 	}
 }
 
@@ -255,19 +253,19 @@ func TestTable2Quality(t *testing.T) {
 			t.Errorf("%s: NC quality = %v, want > 1", net, ncq)
 		}
 		for _, m := range res.Methods {
-			if m.Short == "nc" {
+			if m.Name == "nc" {
 				continue
 			}
-			q := res.Quality[m.Short][net]
+			q := res.Quality[m.Name][net]
 			if math.IsNaN(q) {
 				continue
 			}
-			tunable := m.Short == "df" || m.Short == "hss" || m.Short == "nt"
+			tunable := m.Name == "df" || m.Name == "hss" || m.Name == "nt"
 			if tunable && q > ncq*1.02 {
-				t.Errorf("%s: %s quality %v beats NC %v", net, m.Short, q, ncq)
+				t.Errorf("%s: %s quality %v beats NC %v", net, m.Name, q, ncq)
 			}
 			if !tunable && q > ncq*1.18 {
-				t.Errorf("%s: %s quality %v far above NC %v", net, m.Short, q, ncq)
+				t.Errorf("%s: %s quality %v far above NC %v", net, m.Name, q, ncq)
 			}
 		}
 	}

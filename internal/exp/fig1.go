@@ -6,7 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/community"
-	"repro/internal/core"
+	"repro/internal/filter"
 	"repro/internal/gen"
 )
 
@@ -39,7 +39,11 @@ func Fig1(ctx context.Context, seed int64, n, k int) (*Fig1Result, error) {
 		return nil, err
 	}
 	full := community.Louvain(g, rand.New(rand.NewSource(seed+1)))
-	bb, err := core.New().Backbone(g, 2.32)
+	nc, err := filter.Lookup("nc")
+	if err != nil {
+		return nil, err
+	}
+	bb, _, err := nc.BackboneCtx(ctx, g, filter.Params{"delta": 2.32}, -1, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/eval"
+	"repro/internal/filter"
 	"repro/internal/gen"
 	"repro/internal/stats"
 )
@@ -39,9 +40,9 @@ func DefaultFig4Config() Fig4Config {
 // edge set) per noise level per method.
 type Fig4Result struct {
 	Cfg Fig4Config
-	// Recovery[methodShort][etaIndex] is the mean Jaccard.
+	// Recovery[methodName][etaIndex] is the mean Jaccard.
 	Recovery map[string][]float64
-	Methods  []Method
+	Methods  []*filter.Method
 }
 
 // Fig4 runs the recovery experiment: BA networks with the complement
@@ -57,8 +58,8 @@ func Fig4(ctx context.Context, cfg Fig4Config) (*Fig4Result, error) {
 	}
 	names := make([]string, len(res.Methods))
 	for i, m := range res.Methods {
-		res.Recovery[m.Short] = make([]float64, len(cfg.Etas))
-		names[i] = m.Short
+		res.Recovery[m.Name] = make([]float64, len(cfg.Etas))
+		names[i] = m.Name
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for ei, eta := range cfg.Etas {
@@ -68,7 +69,7 @@ func Fig4(ctx context.Context, cfg Fig4Config) (*Fig4Result, error) {
 		acc := map[string]*[]float64{}
 		for _, m := range res.Methods {
 			s := make([]float64, 0, cfg.Reps)
-			acc[m.Short] = &s
+			acc[m.Name] = &s
 		}
 		for rep := 0; rep < cfg.Reps; rep++ {
 			base := gen.BarabasiAlbert(rng, cfg.Nodes, cfg.MeanDegree/2)
@@ -103,12 +104,12 @@ func (r *Fig4Result) Table() *Table {
 		Header: []string{"eta"},
 	}
 	for _, m := range r.Methods {
-		t.Header = append(t.Header, m.Short)
+		t.Header = append(t.Header, m.Name)
 	}
 	for ei, eta := range r.Cfg.Etas {
 		row := []string{f3(eta)}
 		for _, m := range r.Methods {
-			row = append(row, f3(r.Recovery[m.Short][ei]))
+			row = append(row, f3(r.Recovery[m.Name][ei]))
 		}
 		t.AddRow(row...)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/eval"
+	"repro/internal/filter"
 	"repro/internal/stats"
 )
 
@@ -16,12 +17,12 @@ type SweepResult struct {
 	Title    string
 	Metric   string
 	Networks []string
-	Methods  []Method
+	Methods  []*filter.Method
 	Shares   []float64
-	// Values[network][methodShort][shareIdx]; NaN for infeasible points.
+	// Values[network][methodName][shareIdx]; NaN for infeasible points.
 	// Fixed-size methods fill only index 0 (their single operating point).
 	Values map[string]map[string][]float64
-	// FixedShare[network][methodShort] is the actual edge share of
+	// FixedShare[network][methodName] is the actual edge share of
 	// parameter-free backbones (MST, DS).
 	FixedShare map[string]map[string]float64
 }
@@ -46,22 +47,25 @@ func (r *SweepResult) initNetwork(name string) {
 		for i := range vals {
 			vals[i] = math.NaN()
 		}
-		r.Values[name][m.Short] = vals
+		r.Values[name][m.Name] = vals
 	}
 }
 
-// shareMethods returns the method shorts to grade at share index si:
-// every method at the first share, only the size-tunable ones after
-// (fixed-size methods are single points in the paper's sweeps).
-func (r *SweepResult) shareMethods(si int) []string {
+// shareMethods returns the methods to grade at share index si, with
+// their names: every method at the first share, only the size-tunable
+// ones after (fixed-size methods are single points in the paper's
+// sweeps).
+func (r *SweepResult) shareMethods(si int) ([]*filter.Method, []string) {
+	var ms []*filter.Method
 	var names []string
 	for _, m := range r.Methods {
 		if m.FixedSize && si > 0 {
 			continue
 		}
-		names = append(names, m.Short)
+		ms = append(ms, m)
+		names = append(names, m.Name)
 	}
-	return names
+	return ms, names
 }
 
 // Fig7 measures Coverage — the share of originally non-isolated nodes
@@ -74,18 +78,19 @@ func Fig7(ctx context.Context, c *Country) (*SweepResult, error) {
 		res.initNetwork(ds.Name)
 		full := ds.Latest()
 		for si, share := range res.Shares {
+			ms, names := res.shareMethods(si)
 			grades, err := eval.Compare(ctx, full, eval.Config{
-				Methods: res.shareMethods(si),
+				Methods: names,
 				Frac:    share, FracSet: true,
 			})
 			if err != nil {
 				return nil, err
 			}
-			for _, me := range grades.Methods {
+			for i, me := range grades.Methods {
 				if me.Err != "" {
 					continue // infeasible (DS n/a): leave NaN
 				}
-				if m, _ := MethodByShort(me.Method); m.FixedSize {
+				if ms[i].FixedSize {
 					res.FixedShare[ds.Name][me.Method] = float64(me.Edges) / float64(full.NumEdges())
 				}
 				res.Values[ds.Name][me.Method][si] = float64(me.Coverage)
@@ -106,7 +111,7 @@ func Fig8(ctx context.Context, c *Country) (*SweepResult, error) {
 	for _, ds := range c.Datasets {
 		res.initNetwork(ds.Name)
 		for si, share := range res.Shares {
-			names := res.shareMethods(si)
+			ms, names := res.shareMethods(si)
 			perMethod := map[string][]float64{}
 			infeasible := map[string]bool{}
 			for yi := 0; yi+1 < len(ds.Years); yi++ {
@@ -118,7 +123,7 @@ func Fig8(ctx context.Context, c *Country) (*SweepResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, me := range grades.Methods {
+				for i, me := range grades.Methods {
 					if me.Err != "" {
 						// Failing on any year pair leaves the whole cell n/a
 						// (a partial-year mean would not be the figure's
@@ -126,7 +131,7 @@ func Fig8(ctx context.Context, c *Country) (*SweepResult, error) {
 						infeasible[me.Method] = true
 						continue
 					}
-					if m, _ := MethodByShort(me.Method); m.FixedSize && yi == 0 {
+					if ms[i].FixedSize && yi == 0 {
 						res.FixedShare[ds.Name][me.Method] = float64(me.Edges) / float64(ds.Years[yi].NumEdges())
 					}
 					perMethod[me.Method] = append(perMethod[me.Method], float64(me.Stability))
@@ -147,7 +152,7 @@ func Fig8(ctx context.Context, c *Country) (*SweepResult, error) {
 func (r *SweepResult) Table() *Table {
 	t := &Table{Title: r.Title, Header: []string{"Network", "share"}}
 	for _, m := range r.Methods {
-		t.Header = append(t.Header, m.Short)
+		t.Header = append(t.Header, m.Name)
 	}
 	for _, net := range r.Networks {
 		for si, share := range r.Shares {
@@ -157,7 +162,7 @@ func (r *SweepResult) Table() *Table {
 					row = append(row, "")
 					continue
 				}
-				row = append(row, f3(r.Values[net][m.Short][si]))
+				row = append(row, f3(r.Values[net][m.Name][si]))
 			}
 			t.AddRow(row...)
 		}

@@ -38,11 +38,11 @@ func DefaultFig9Config() Fig9Config {
 // Fig9Result holds seconds per (method, size).
 type Fig9Result struct {
 	Cfg     Fig9Config
-	Methods []Method
+	Methods []*filter.Method
 	Edges   []int
-	// Seconds[methodShort][sizeIdx]; NaN where the method was skipped.
+	// Seconds[methodName][sizeIdx]; NaN where the method was skipped.
 	Seconds map[string][]float64
-	// Exponent[methodShort] is the fitted slope of log(time) vs
+	// Exponent[methodName] is the fitted slope of log(time) vs
 	// log(edges) — the paper estimates ~1.14 for its NC implementation.
 	Exponent map[string]float64
 	// BuildSeconds[sizeIdx] times the graph substrate itself: rebuilding
@@ -66,9 +66,9 @@ func Fig9(ctx context.Context, cfg Fig9Config) (*Fig9Result, error) {
 		Exponent: map[string]float64{},
 	}
 	for _, m := range res.Methods {
-		res.Seconds[m.Short] = make([]float64, len(cfg.NodeCounts))
-		for i := range res.Seconds[m.Short] {
-			res.Seconds[m.Short][i] = math.NaN()
+		res.Seconds[m.Name] = make([]float64, len(cfg.NodeCounts))
+		for i := range res.Seconds[m.Name] {
+			res.Seconds[m.Name][i] = math.NaN()
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -79,7 +79,7 @@ func Fig9(ctx context.Context, cfg Fig9Config) (*Fig9Result, error) {
 		mEdges := n * 3 / 2 // average degree 3
 		g := gen.ErdosRenyiGNM(rng, n, mEdges)
 		res.Edges = append(res.Edges, g.NumEdges())
-		build, extract, err := timeBuildExtract(g, cfg.Reps)
+		build, extract, err := timeBuildExtract(ctx, g, cfg.Reps)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +89,7 @@ func Fig9(ctx context.Context, cfg Fig9Config) (*Fig9Result, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			expensive := m.Short == "hss" || m.Short == "ds"
+			expensive := m.Name == "hss" || m.Name == "ds"
 			if expensive && g.NumEdges() > cfg.MaxExpensiveEdges {
 				continue
 			}
@@ -97,30 +97,30 @@ func Fig9(ctx context.Context, cfg Fig9Config) (*Fig9Result, error) {
 			ok := true
 			for rep := 0; rep < cfg.Reps; rep++ {
 				start := time.Now()
-				if _, err := BackboneWithShare(m, g, 0.1); err != nil {
+				if _, err := BackboneWithShare(ctx, m, g, 0.1); err != nil {
 					ok = false
 					break
 				}
 				total += time.Since(start)
 			}
 			if ok {
-				res.Seconds[m.Short][si] = total.Seconds() / float64(cfg.Reps)
+				res.Seconds[m.Name][si] = total.Seconds() / float64(cfg.Reps)
 			}
 		}
 	}
 	// Fit scaling exponents where at least three sizes were timed.
 	for _, m := range res.Methods {
 		var lx, ly []float64
-		for si, s := range res.Seconds[m.Short] {
+		for si, s := range res.Seconds[m.Name] {
 			if s == s && s > 0 {
 				lx = append(lx, math.Log(float64(res.Edges[si])))
 				ly = append(ly, math.Log(s))
 			}
 		}
 		if len(lx) >= 3 {
-			res.Exponent[m.Short] = slope(lx, ly)
+			res.Exponent[m.Name] = slope(lx, ly)
 		} else {
-			res.Exponent[m.Short] = math.NaN()
+			res.Exponent[m.Name] = math.NaN()
 		}
 	}
 	return res, nil
@@ -130,16 +130,16 @@ func Fig9(ctx context.Context, cfg Fig9Config) (*Fig9Result, error) {
 // rebuilding the graph from its canonical edge list, and pruning a
 // precomputed NC score table to a top-10% backbone. Both are averaged
 // over reps runs.
-func timeBuildExtract(g *graph.Graph, reps int) (build, extract float64, err error) {
+func timeBuildExtract(ctx context.Context, g *graph.Graph, reps int) (build, extract float64, err error) {
 	if reps < 1 {
 		reps = 1
 	}
-	var s *filter.Scores
-	m, err := MethodByShort("nc")
+	m, err := filter.Lookup("nc")
 	if err != nil {
 		return 0, 0, err
 	}
-	if s, err = m.Scorer.Scores(g); err != nil {
+	s, err := m.ScoreCtx(ctx, g, filter.ScoreOpts{})
+	if err != nil {
 		return 0, 0, err
 	}
 	var tBuild, tExtract time.Duration
@@ -179,13 +179,13 @@ func (r *Fig9Result) Table() *Table {
 		Header: []string{"edges"},
 	}
 	for _, m := range r.Methods {
-		t.Header = append(t.Header, m.Short)
+		t.Header = append(t.Header, m.Name)
 	}
 	t.Header = append(t.Header, "build", "extract")
 	for si, e := range r.Edges {
 		row := []string{fmt.Sprintf("%d", e)}
 		for _, m := range r.Methods {
-			v := r.Seconds[m.Short][si]
+			v := r.Seconds[m.Name][si]
 			if v != v {
 				row = append(row, "skip")
 			} else {
@@ -199,7 +199,7 @@ func (r *Fig9Result) Table() *Table {
 	}
 	expRow := []string{"exponent"}
 	for _, m := range r.Methods {
-		expRow = append(expRow, f3(r.Exponent[m.Short]))
+		expRow = append(expRow, f3(r.Exponent[m.Name]))
 	}
 	expRow = append(expRow, "—", "—")
 	t.AddRow(expRow...)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/filter"
@@ -13,84 +14,33 @@ import (
 	_ "repro/internal/core"
 )
 
-// Method is the experiment harness's view of one registry entry: the
-// display name used in the paper's tables plus the capabilities the
-// sweeps need (ranked scoring for fixed-size comparisons, parameter-free
-// extraction, fixed-size marking).
-type Method struct {
-	// Name is the display name used in the paper's tables.
-	Name string
-	// Short is the identifier used on the command line ("nc", "df", ...).
-	Short string
-	// Scorer is nil for purely parameter-free methods (MST).
-	Scorer filter.Scorer
-	// Extractor is nil for threshold-only methods.
-	Extractor filter.Extractor
-	// FixedSize marks methods whose backbone size cannot be tuned
-	// (MST and the connectivity-stopping DS), which appear as single
-	// points in the paper's sweep figures.
-	FixedSize bool
-}
-
 // paperOrder lists the six algorithms of the paper's comparison in its
 // presentation order.
 var paperOrder = []string{"nc", "df", "hss", "ds", "mst", "nt"}
 
-func fromRegistry(m *filter.Method) Method {
-	return Method{
-		Name:      m.Title,
-		Short:     m.Name,
-		Scorer:    m.Scorer,
-		Extractor: m.Extractor,
-		FixedSize: m.FixedSize,
-	}
-}
-
 // Methods returns the six algorithms in the paper's comparison, looked
 // up from the central method registry, in the paper's presentation
 // order: NC, DF, HSS, DS, MST, NT.
-func Methods() []Method {
-	ms := make([]Method, 0, len(paperOrder))
-	for _, short := range paperOrder {
-		fm, err := filter.Lookup(short)
-		if err != nil {
-			// The registry is populated by package init; a missing paper
-			// method is a programming error, not a runtime condition.
-			panic(fmt.Sprintf("exp: paper method missing from registry: %v", err))
-		}
-		ms = append(ms, fromRegistry(fm))
+func Methods() []*filter.Method {
+	ms, err := filter.Default.Select(paperOrder, nil)
+	if err != nil {
+		// The registry is populated by package init; a missing paper
+		// method is a programming error, not a runtime condition.
+		panic(fmt.Sprintf("exp: paper method missing from registry: %v", err))
 	}
 	return ms
 }
 
-// MethodByShort returns the registered method with the given short
-// name — any registry entry, not only the paper's six.
-func MethodByShort(short string) (Method, error) {
-	fm, err := filter.Lookup(short)
-	if err != nil {
-		return Method{}, fmt.Errorf("exp: %w", err)
+// BackboneWithShare extracts a backbone keeping (approximately) the
+// given share of the graph's edges. Ranked methods take their top
+// edges; fixed-size methods return their canonical output regardless
+// of the share, as the paper does when it compares methods "for a given
+// number of edges" (MST and DS cannot be tuned).
+func BackboneWithShare(ctx context.Context, m *filter.Method, g *graph.Graph, share float64) (*graph.Graph, error) {
+	k := -1
+	if m.CanScore() && !m.FixedSize {
+		k = int(share*float64(g.NumEdges()) + 0.5)
 	}
-	return fromRegistry(fm), nil
-}
-
-// BackboneWithK extracts a backbone of (approximately) k edges. Ranked
-// methods take their top-k edges; fixed-size methods return their
-// canonical output regardless of k, as the paper does when it compares
-// methods "for a given number of edges" (MST and DS cannot be tuned).
-func BackboneWithK(m Method, g *graph.Graph, k int) (*graph.Graph, error) {
-	if m.FixedSize || m.Scorer == nil {
-		return m.Extractor.Extract(g)
-	}
-	s, err := m.Scorer.Scores(g)
-	if err != nil {
-		return nil, err
-	}
-	return s.TopK(k), nil
-}
-
-// BackboneWithShare extracts a backbone keeping the given share of the
-// graph's edges (see BackboneWithK for fixed-size methods).
-func BackboneWithShare(m Method, g *graph.Graph, share float64) (*graph.Graph, error) {
-	k := int(share*float64(g.NumEdges()) + 0.5)
-	return BackboneWithK(m, g, k)
+	bb, _, err := m.BackboneCtx(ctx, g, m.Defaults(), k, nil)
+	return bb, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"repro/internal/filter"
 	"repro/internal/graph"
 )
 
@@ -15,7 +16,7 @@ import (
 // artifacts hand unexplainable observations to the regression.
 type NoiseResult struct {
 	Networks []string
-	Methods  []Method
+	Methods  []*filter.Method
 	// ArtifactShareKept[method][network] is |kept ∩ spurious| / |kept| —
 	// the false-positive side of the tradeoff.
 	ArtifactShareKept map[string]map[string]float64
@@ -42,8 +43,8 @@ func Noise(ctx context.Context, c *Country, share float64) (*NoiseResult, error)
 	}
 	res.RealRecall = map[string]map[string]float64{}
 	for _, m := range res.Methods {
-		res.ArtifactShareKept[m.Short] = map[string]float64{}
-		res.RealRecall[m.Short] = map[string]float64{}
+		res.ArtifactShareKept[m.Name] = map[string]float64{}
+		res.RealRecall[m.Name] = map[string]float64{}
 	}
 	for _, ds := range c.Datasets {
 		if err := ctx.Err(); err != nil {
@@ -65,10 +66,10 @@ func Noise(ctx context.Context, c *Country, share float64) (*NoiseResult, error)
 		nReal := full.NumEdges() - nArt
 		res.ArtifactShareFull[ds.Name] = float64(nArt) / float64(full.NumEdges())
 		for _, m := range res.Methods {
-			bb, err := BackboneWithShare(m, full, share)
+			bb, err := BackboneWithShare(ctx, m, full, share)
 			if err != nil {
-				res.ArtifactShareKept[m.Short][ds.Name] = math.NaN()
-				res.RealRecall[m.Short][ds.Name] = math.NaN()
+				res.ArtifactShareKept[m.Name][ds.Name] = math.NaN()
+				res.RealRecall[m.Name][ds.Name] = math.NaN()
 				continue
 			}
 			kept, art := 0, 0
@@ -79,15 +80,15 @@ func Noise(ctx context.Context, c *Country, share float64) (*NoiseResult, error)
 				}
 			}
 			if kept == 0 {
-				res.ArtifactShareKept[m.Short][ds.Name] = math.NaN()
-				res.RealRecall[m.Short][ds.Name] = math.NaN()
+				res.ArtifactShareKept[m.Name][ds.Name] = math.NaN()
+				res.RealRecall[m.Name][ds.Name] = math.NaN()
 				continue
 			}
-			res.ArtifactShareKept[m.Short][ds.Name] = float64(art) / float64(kept)
+			res.ArtifactShareKept[m.Name][ds.Name] = float64(art) / float64(kept)
 			if nReal > 0 {
-				res.RealRecall[m.Short][ds.Name] = float64(kept-art) / float64(nReal)
+				res.RealRecall[m.Name][ds.Name] = float64(kept-art) / float64(nReal)
 			} else {
-				res.RealRecall[m.Short][ds.Name] = math.NaN()
+				res.RealRecall[m.Name][ds.Name] = math.NaN()
 			}
 		}
 	}
@@ -109,9 +110,9 @@ func (r *NoiseResult) Table() *Table {
 		return cells
 	}()...)...)
 	for _, m := range r.Methods {
-		row := []string{m.Name}
+		row := []string{m.Title}
 		for _, n := range r.Networks {
-			row = append(row, f3(r.ArtifactShareKept[m.Short][n])+"/"+f3(r.RealRecall[m.Short][n]))
+			row = append(row, f3(r.ArtifactShareKept[m.Name][n])+"/"+f3(r.RealRecall[m.Name][n]))
 		}
 		t.AddRow(row...)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/eval"
+	"repro/internal/filter"
 )
 
 // Table2Result holds the Quality experiment (Section V-E): the R² ratio
@@ -12,7 +13,7 @@ import (
 // over the model on the full edge set.
 type Table2Result struct {
 	Networks []string
-	Methods  []Method
+	Methods  []*filter.Method
 	// Quality[method][network]; NaN marks the paper's "n/a" cases
 	// (infeasible Doubly-Stochastic transformations).
 	Quality map[string]map[string]float64
@@ -37,8 +38,8 @@ func Table2(ctx context.Context, c *Country) (*Table2Result, error) {
 	}
 	names := make([]string, len(res.Methods))
 	for i, m := range res.Methods {
-		res.Quality[m.Short] = map[string]float64{}
-		names[i] = m.Short
+		res.Quality[m.Name] = map[string]float64{}
+		names[i] = m.Name
 	}
 	for _, ds := range c.Datasets {
 		res.Networks = append(res.Networks, ds.Name)
@@ -48,11 +49,11 @@ func Table2(ctx context.Context, c *Country) (*Table2Result, error) {
 		// threshold, per the paper's protocol ("we usually choose the
 		// number of edges obtained with low threshold values for the
 		// High Salience Skeleton").
-		hss, err := MethodByShort("hss")
+		hss, err := filter.Lookup("hss")
 		if err != nil {
 			return nil, err
 		}
-		sH, err := hss.Scorer.Scores(full)
+		sH, err := hss.ScoreCtx(ctx, full, filter.ScoreOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -94,13 +95,13 @@ func (r *Table2Result) Table() *Table {
 	t.Header = append(t.Header, r.Networks...)
 	order := []string{"ds", "nt", "df", "hss", "mst", "nc"}
 	for _, short := range order {
-		var m Method
+		var m *filter.Method
 		for _, mm := range r.Methods {
-			if mm.Short == short {
+			if mm.Name == short {
 				m = mm
 			}
 		}
-		row := []string{m.Name}
+		row := []string{m.Title}
 		for _, net := range r.Networks {
 			row = append(row, f4(r.Quality[short][net]))
 		}

@@ -196,45 +196,61 @@ func (m *Method) ScoreCtx(ctx context.Context, g *graph.Graph, o ScoreOpts) (*Sc
 	return out, nil
 }
 
-// Backbone extracts the method's backbone with the given parameter
-// overrides (nil means all defaults): scoring methods apply their Cut
-// rule, extract-only methods run their Extractor.
-func (m *Method) Backbone(g *graph.Graph, overrides Params) (*graph.Graph, error) {
-	bb, _, _, err := m.BackboneScored(g, overrides)
-	return bb, err
+// NeedsTable reports whether cutting the method's backbone reads a
+// Scores table: a ranked (top-k) cut does whenever the method scores,
+// a native cut only when the method has a Cut rule. Otherwise the
+// backbone comes from the Extractor (mst; ds without top-k).
+func (m *Method) NeedsTable(ranked bool) bool {
+	return m.Scorer != nil && (ranked || m.Cut != nil)
 }
 
-// BackboneScored is Backbone exposing the full run: the backbone, the
-// Scores table it was pruned from (nil for extract-only methods), and
-// the resolved parameters. It is the single implementation of the
-// score-then-Cut rule.
-func (m *Method) BackboneScored(g *graph.Graph, overrides Params) (*graph.Graph, *Scores, Params, error) {
-	return m.BackboneScoredCtx(context.Background(), g, overrides, ScoreOpts{})
-}
-
-// BackboneScoredCtx is BackboneScored under a context: scoring methods
-// propagate ctx into ScoreCtx, extract-only methods check it before
+// BackboneCtx is the one cut every entry point shares: with k ≥ 0 it
+// keeps the k top-ranked rows, with k < 0 it applies Cut(p), and a
+// method without a Cut runs its Extractor instead. p holds resolved
+// parameters (see Resolve). table supplies the Scores table when
+// NeedsTable reports one is cut — a cache, a precomputed or an
+// incrementally re-scored table; nil means ScoreCtx. The returned table
+// is nil on the extractor path. Extract-only methods check ctx before
 // running their (uninterruptible) extractor.
-func (m *Method) BackboneScoredCtx(ctx context.Context, g *graph.Graph, overrides Params, o ScoreOpts) (*graph.Graph, *Scores, Params, error) {
-	p, err := m.Resolve(overrides)
-	if err != nil {
-		return nil, nil, nil, err
+func (m *Method) BackboneCtx(ctx context.Context, g *graph.Graph, p Params, k int, table func() (*Scores, error)) (*graph.Graph, *Scores, error) {
+	if k >= 0 && m.Scorer == nil {
+		return nil, nil, fmt.Errorf("filter: method %q: %w", m.Name, ErrNoScorer)
 	}
-	if m.Scorer != nil && m.Cut != nil {
-		s, err := m.ScoreCtx(ctx, g, o)
+	if m.NeedsTable(k >= 0) {
+		if table == nil {
+			table = func() (*Scores, error) { return m.ScoreCtx(ctx, g, ScoreOpts{}) }
+		}
+		s, err := table()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		return s.Threshold(m.Cut(p)), s, p, nil
-	}
-	if m.Extractor != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
+		if k >= 0 {
+			return s.TopK(k), s, nil
 		}
-		bb, err := m.Extractor.Extract(g)
-		return bb, nil, p, err
+		return s.Threshold(m.Cut(p)), s, nil
 	}
-	return nil, nil, nil, fmt.Errorf("filter: method %q has neither a pruning rule nor an extractor", m.Name)
+	if m.Extractor == nil {
+		return nil, nil, fmt.Errorf("filter: method %q has neither a pruning rule nor an extractor", m.Name)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	bb, err := m.Extractor.Extract(g)
+	return bb, nil, err
+}
+
+// Declared keeps only the parameters of p the method declares — the
+// ride-along rule that lets one shared option set (WithDelta next to
+// df) drive several methods.
+func (m *Method) Declared(p Params) Params {
+	kept := Params{}
+	//lint:detiter-ok filtering into another map; the kept set is order-independent
+	for name, v := range p {
+		if _, ok := m.Param(name); ok {
+			kept[name] = v
+		}
+	}
+	return kept
 }
 
 // reservedParams are names claimed by the shared pipeline/CLI options
@@ -328,6 +344,38 @@ func (r *Registry) Lookup(name string) (*Method, error) {
 		return nil, fmt.Errorf("filter: %w %q (known: %v)", ErrUnknownMethod, name, r.Names())
 	}
 	return m, nil
+}
+
+// Select looks up the named methods (empty names: every registered
+// method, in All order) and checks the ride-along parameters against
+// them: each must be declared by at least one selected method, since a
+// parameter no method knows is a misspelling, not a ride-along. Sorted
+// order pins which undeclared parameter the error names.
+func (r *Registry) Select(names []string, rideAlong Params) ([]*Method, error) {
+	if len(names) == 0 {
+		names = r.Names()
+	}
+	selected := make([]*Method, 0, len(names))
+	for _, name := range names {
+		m, err := r.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		selected = append(selected, m)
+	}
+	for _, name := range rideAlong.Names() {
+		declared := false
+		for _, m := range selected {
+			if _, ok := m.Param(name); ok {
+				declared = true
+				break
+			}
+		}
+		if !declared {
+			return nil, &ParamError{Param: name, Reason: "no selected method declares this parameter", Err: ErrUnknownParam}
+		}
+	}
+	return selected, nil
 }
 
 // All returns every registered method sorted by (Order, Name).

@@ -1,6 +1,8 @@
 package filter
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -128,29 +130,112 @@ func TestMethodResolve(t *testing.T) {
 
 func TestMethodBackbone(t *testing.T) {
 	g := methodGraph(t)
+	ctx := context.Background()
 	m := testMethod()
-	bb, err := m.Backbone(g, nil)
-	if err != nil {
-		t.Fatal(err)
+	cut := func(m *Method, overrides Params, k int, table func() (*Scores, error)) (*graph.Graph, *Scores) {
+		t.Helper()
+		p, err := m.Resolve(overrides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, s, err := m.BackboneCtx(ctx, g, p, k, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bb, s
 	}
+	bb, s := cut(m, nil, -1, nil)
 	if bb.NumEdges() != 2 { // weights 5 and 3 beat the default cut 2
 		t.Errorf("default cut kept %d edges, want 2", bb.NumEdges())
 	}
-	bb, err = m.Backbone(g, Params{"cut": 4})
+	if s == nil || len(s.Score) != g.NumEdges() {
+		t.Error("Cut path did not return the table it pruned")
+	}
+	if bb, _ = cut(m, Params{"cut": 4}, -1, nil); bb.NumEdges() != 1 {
+		t.Errorf("cut 4 kept %d edges, want 1", bb.NumEdges())
+	}
+	// k ≥ 0 ranks instead of applying Cut; parameters do not move it.
+	if bb, _ = cut(m, Params{"cut": 4}, 2, nil); bb.NumEdges() != 2 {
+		t.Errorf("top 2 kept %d edges, want 2", bb.NumEdges())
+	}
+	// A supplied table is the one pruned, read once.
+	pre, err := m.Score(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bb.NumEdges() != 1 {
-		t.Errorf("cut 4 kept %d edges, want 1", bb.NumEdges())
+	calls := 0
+	supplied := func() (*Scores, error) { calls++; return pre, nil }
+	if _, s = cut(m, nil, -1, supplied); s != pre || calls != 1 {
+		t.Errorf("supplied table: got %p after %d calls, want %p after 1", s, calls, pre)
+	}
+	tableErr := errors.New("table failed")
+	if _, _, err := m.BackboneCtx(ctx, g, m.Defaults(), 1, func() (*Scores, error) { return nil, tableErr }); !errors.Is(err, tableErr) {
+		t.Errorf("table error: %v, want %v", err, tableErr)
 	}
 
+	// Extract-only: the table callback never runs, top-k is ErrNoScorer.
+	noTable := func() (*Scores, error) {
+		t.Error("table requested on an extractor path")
+		return nil, nil
+	}
 	ext := &Method{Name: "keepall", Extractor: fakeExtractor{"keepall"}}
-	bb, err = ext.Backbone(g, nil)
-	if err != nil || bb.NumEdges() != g.NumEdges() {
-		t.Fatalf("extractor path: %d edges, %v", bb.NumEdges(), err)
+	if bb, s = cut(ext, nil, -1, noTable); bb.NumEdges() != g.NumEdges() || s != nil {
+		t.Fatalf("extractor path: %d edges, table %v", bb.NumEdges(), s)
+	}
+	if _, _, err := ext.BackboneCtx(ctx, g, nil, 1, noTable); !errors.Is(err, ErrNoScorer) {
+		t.Errorf("top-k on extract-only: %v, want ErrNoScorer", err)
 	}
 	if _, err := ext.Score(g); err == nil {
 		t.Error("extract-only method produced scores")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := ext.BackboneCtx(cancelled, g, nil, -1, noTable); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled extractor: %v, want context.Canceled", err)
+	}
+
+	// A scorer without Cut (ds) extracts natively and ranks on top-k.
+	both := &Method{Name: "both", Scorer: fakeScorer{"both"}, Extractor: fakeExtractor{"both"}}
+	if bb, s = cut(both, nil, -1, noTable); bb.NumEdges() != g.NumEdges() || s != nil {
+		t.Errorf("scorer without Cut: %d edges, table %v; want its extractor", bb.NumEdges(), s)
+	}
+	if bb, _ = cut(both, nil, 1, nil); bb.NumEdges() != 1 {
+		t.Errorf("scorer without Cut, top 1: kept %d edges", bb.NumEdges())
+	}
+
+	for _, tc := range []struct {
+		m      *Method
+		ranked bool
+		want   bool
+	}{
+		{m, false, true}, {m, true, true},
+		{ext, false, false}, {ext, true, false},
+		{both, false, false}, {both, true, true},
+	} {
+		if got := tc.m.NeedsTable(tc.ranked); got != tc.want {
+			t.Errorf("%s.NeedsTable(%v) = %v, want %v", tc.m.Name, tc.ranked, got, tc.want)
+		}
+	}
+}
+
+func TestRegistrySelect(t *testing.T) {
+	r := NewRegistry()
+	r.MustRegister(testMethod())
+	r.MustRegister(&Method{Name: "aaa", Order: 99, Extractor: fakeExtractor{"aaa"}})
+	all, err := r.Select(nil, Params{"cut": 1})
+	if err != nil || len(all) != 2 || all[0].Name != "fake" || all[1].Name != "aaa" {
+		t.Fatalf("Select(nil): %v, %v", all, err)
+	}
+	if _, err := r.Select([]string{"nope"}, nil); !errors.Is(err, ErrUnknownMethod) {
+		t.Errorf("unknown name: %v, want ErrUnknownMethod", err)
+	}
+	_, err = r.Select([]string{"aaa"}, Params{"cut": 1, "zeta": 1})
+	var pe *ParamError
+	if !errors.As(err, &pe) || pe.Param != "cut" || !errors.Is(err, ErrUnknownParam) {
+		t.Errorf("undeclared ride-along: %v, want *ParamError{cut}", err)
+	}
+	if got := all[0].Declared(Params{"cut": 1, "zeta": 2}); len(got) != 1 || got["cut"] != 1 {
+		t.Errorf("Declared = %v, want only cut", got)
 	}
 }
 

@@ -133,9 +133,9 @@ func TestIsolates(t *testing.T) {
 	}
 }
 
-func TestKeepEdgesPreservesNodes(t *testing.T) {
+func TestSubgraphPreservesNodes(t *testing.T) {
 	g := buildTriangle(t, true)
-	sub := g.KeepEdges(map[int32]bool{0: true})
+	sub := g.Subgraph([]bool{true, false, false})
 	if sub.NumNodes() != 3 {
 		t.Errorf("node set shrank: %d", sub.NumNodes())
 	}
@@ -143,7 +143,7 @@ func TestKeepEdgesPreservesNodes(t *testing.T) {
 		t.Errorf("NumEdges = %d, want 1", sub.NumEdges())
 	}
 	if sub.NodeID("c") != g.NodeID("c") {
-		t.Error("labels lost in KeepEdges")
+		t.Error("labels lost in Subgraph")
 	}
 }
 

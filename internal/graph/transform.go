@@ -5,8 +5,8 @@ package graph
 // the share of nodes left non-isolated — can be measured on the
 // result). keep must have length g.NumEdges().
 //
-// This is the allocation-light extraction path behind KeepEdges,
-// FilterEdges and the Scores pruners: the kept edges are already
+// This is the allocation-light extraction path behind FilterEdges,
+// the mask-building extractors (mst, ds) and the Scores pruners: the kept edges are already
 // canonical (sorted by (Src, Dst), deduplicated, weights final), so the
 // subgraph is assembled straight into CSR form with zero hashing, and
 // the label slice and label index are shared with g (both are immutable
@@ -47,18 +47,6 @@ func (g *Graph) SubgraphEdges(edges []Edge) *Graph {
 	}
 	sub.buildCSR(g.NumNodes())
 	return sub
-}
-
-// KeepEdges returns a copy of g containing only the edges whose canonical
-// ID is in keep, preserving the full node set.
-//
-//lint:ctxflow-ok tight O(m) CSR pass with no I/O; the pipeline checks ctx between stages
-func (g *Graph) KeepEdges(keep map[int32]bool) *Graph {
-	mask := make([]bool, len(g.edges))
-	for id := range g.edges {
-		mask[id] = keep[int32(id)]
-	}
-	return g.Subgraph(mask)
 }
 
 // FilterEdges returns a copy of g containing only edges for which pred

@@ -249,14 +249,7 @@ func resolve(opts []Option) (*config, *Method, error) {
 		return nil, nil, err
 	}
 	if c.lenient {
-		kept := filter.Params{}
-		//lint:detiter-ok filtering into another map; the kept set is order-independent
-		for name, v := range c.params {
-			if _, ok := m.Param(name); ok {
-				kept[name] = v
-			}
-		}
-		c.params = kept
+		c.params = m.Declared(c.params)
 	}
 	return c, m, nil
 }
@@ -290,48 +283,36 @@ func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, er
 		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
 	}
 	so := filter.ScoreOpts{Progress: c.progress}
-	start := time.Now()
-	scores := c.scores
-	if c.dirtySet {
-		if scores, err = c.dirtyScores(ctx, g, m, so); err != nil {
-			return nil, err
-		}
-	}
-	var bb *Graph
-	var params filter.Params
+	table := func() (*Scores, error) { return m.ScoreCtx(ctx, g, so) }
 	switch {
-	case c.topKSet || c.fracSet:
-		if !m.CanScore() {
-			return nil, fmt.Errorf("repro: method %q has a fixed backbone size and does not support top-k pruning: %w", m.Name, filter.ErrNoScorer)
-		}
-		params, err = m.Resolve(c.params)
-		if err != nil {
+	case c.dirtySet:
+		if table, err = c.dirtyTable(ctx, g, m, so); err != nil {
 			return nil, err
 		}
-		if scores == nil {
-			if scores, err = m.ScoreCtx(ctx, g, so); err != nil {
-				return nil, err
-			}
-		}
-		if c.topKSet {
-			bb = scores.TopK(c.topK)
-		} else {
-			bb = scores.TopFraction(c.topFrac)
-		}
-	case scores != nil:
-		if m.Cut == nil {
-			return nil, fmt.Errorf("repro: method %q has no threshold rule to prune a precomputed table: %w", m.Name, filter.ErrNoScorer)
-		}
-		params, err = m.Resolve(c.params)
-		if err != nil {
-			return nil, err
-		}
-		bb = scores.Threshold(m.Cut(params))
-	default:
-		bb, scores, params, err = m.BackboneScoredCtx(ctx, g, c.params, so)
-		if err != nil {
-			return nil, err
-		}
+	case c.scores != nil:
+		table = func() (*Scores, error) { return c.scores, nil }
+	}
+	k := -1 // the method's own Cut rule
+	switch {
+	case c.topKSet:
+		k = c.topK
+	case c.fracSet:
+		k = int(c.topFrac*float64(g.NumEdges()) + 0.5) // as Scores.TopFraction rounds
+	}
+	if k >= 0 && !m.CanScore() {
+		return nil, fmt.Errorf("repro: method %q has a fixed backbone size and does not support top-k pruning: %w", m.Name, filter.ErrNoScorer)
+	}
+	if k < 0 && (c.scores != nil || c.dirtySet) && m.Cut == nil {
+		return nil, fmt.Errorf("repro: method %q has no threshold rule to prune a precomputed table: %w", m.Name, filter.ErrNoScorer)
+	}
+	params, err := m.Resolve(c.params)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	bb, scores, err := m.BackboneCtx(ctx, g, params, k, table)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Method:   m.Name,
@@ -371,22 +352,29 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 	}
 	so := filter.ScoreOpts{Progress: c.progress}
 	if c.dirtySet {
-		return c.dirtyScores(ctx, g, m, so)
+		table, err := c.dirtyTable(ctx, g, m, so)
+		if err != nil {
+			return nil, err
+		}
+		return table()
 	}
 	return m.ScoreCtx(ctx, g, so)
 }
 
-// dirtyScores is the WithDirtyScores step Backbone and Score share:
-// check the option against g and bring the previous table forward.
-func (c *config) dirtyScores(ctx context.Context, g *Graph, m *Method, so filter.ScoreOpts) (*Scores, error) {
+// dirtyTable is the WithDirtyScores step Backbone and Score share:
+// check the option against g up front, and return the re-scoring that
+// brings the previous table forward for when the table is needed.
+func (c *config) dirtyTable(ctx context.Context, g *Graph, m *Method, so filter.ScoreOpts) (func() (*Scores, error), error) {
 	if c.scores != nil {
 		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "WithScores and WithDirtyScores are mutually exclusive"}
 	}
 	if c.dirty.For != g {
 		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "dirty record describes a different graph"}
 	}
-	s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
-	return s, err
+	return func() (*Scores, error) {
+		s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
+		return s, err
+	}, nil
 }
 
 // ValidateScore runs the option checks Score makes before any work and
@@ -450,23 +438,6 @@ func BackboneAll(g *Graph, methods []string, opts ...Option) ([]*Result, error) 
 // their Err field. The method slice and ordering semantics are those
 // of BackboneAll.
 func BackboneAllContext(ctx context.Context, g *Graph, methods []string, opts ...Option) ([]*Result, error) {
-	if len(methods) == 0 {
-		for _, m := range Methods() {
-			methods = append(methods, m.Name)
-		}
-	}
-	// Validate up front so typos fail before any work starts: every
-	// method name must resolve, and every shared parameter must be
-	// declared by at least one of the selected methods (a parameter no
-	// method knows is a misspelling, not a ride-along).
-	var selected []*Method
-	for _, name := range methods {
-		m, err := filter.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		selected = append(selected, m)
-	}
 	probe := &config{}
 	for _, o := range opts {
 		o(probe)
@@ -474,20 +445,12 @@ func BackboneAllContext(ctx context.Context, g *Graph, methods []string, opts ..
 	if probe.err != nil {
 		return nil, probe.err
 	}
-	// Sorted order pins which undeclared parameter the error names.
-	for _, name := range probe.params.Names() {
-		declared := false
-		for _, m := range selected {
-			if _, ok := m.Param(name); ok {
-				declared = true
-				break
-			}
-		}
-		if !declared {
-			return nil, &ParamError{Param: name, Reason: "no selected method declares this parameter", Err: ErrUnknownParam}
-		}
+	// Validate up front so typos fail before any work starts.
+	selected, err := filter.Default.Select(methods, probe.params)
+	if err != nil {
+		return nil, err
 	}
-	results := make([]*Result, len(methods))
+	results := make([]*Result, len(selected))
 	var wg sync.WaitGroup
 	for i, m := range selected {
 		wg.Add(1)
