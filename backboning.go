@@ -58,6 +58,11 @@ type EdgeKey = graph.EdgeKey
 // method. Prune it with Threshold, TopK or TopFraction.
 type Scores = filter.Scores
 
+// Selection is the edge set a cut keeps over a base graph: the
+// ascending canonical edge ids of its G. SelectContext returns one,
+// WriteSelection writes it and its Graph method builds it.
+type Selection = graph.Selection
+
 // Update is one incremental edge change (upsert or delete) applied to
 // a Delta overlay; see Graph.WithUpdates.
 type Update = graph.Update

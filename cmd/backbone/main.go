@@ -674,7 +674,7 @@ func (a *app) run(args []string, stdin io.Reader, stdout, stderr io.Writer) erro
 		return a.runEval(g, opts, evalFormat, readOpts, stdout, stderr)
 	}
 
-	res, err := repro.Backbone(g, opts...)
+	res, sel, err := repro.SelectContext(context.Background(), g, opts...)
 	if err != nil {
 		return err
 	}
@@ -706,7 +706,7 @@ func (a *app) run(args []string, stdin io.Reader, stdout, stderr io.Writer) erro
 	if strings.HasSuffix(*a.out, ".gz") || strings.HasSuffix(*a.outfmt, ".gz") {
 		writeOpts = append(writeOpts, repro.WithGzip())
 	}
-	if err := repro.WriteGraph(w, res.Backbone, writeOpts...); err != nil {
+	if err := repro.WriteSelection(w, sel, writeOpts...); err != nil {
 		return err
 	}
 	if commit != nil {
@@ -715,7 +715,7 @@ func (a *app) run(args []string, stdin io.Reader, stdout, stderr io.Writer) erro
 		}
 	}
 	fmt.Fprintf(stderr, "input: %d nodes, %d edges; %s backbone: %d edges, %d non-isolated nodes (node coverage %.1f%%) in %v\n",
-		g.NumNodes(), g.NumEdges(), res.Method, res.Backbone.NumEdges(), res.Backbone.NumConnected(),
+		g.NumNodes(), g.NumEdges(), res.Method, sel.Len(), sel.NumConnected(),
 		100*res.NodeCoverage, res.Duration.Round(time.Microsecond))
 	return nil
 }

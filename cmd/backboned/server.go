@@ -900,12 +900,12 @@ func (s *server) table(c *call, req *runRequest, scoreOnly bool, src tableSource
 }
 
 // respond is the second half: a score request writes the table, a
-// backbone request prunes it (or extracts) and writes the backbone.
+// backbone request cuts it (or extracts) and writes the kept edges
+// straight off the input graph, never building the backbone as a graph.
 func (s *server) respond(c *call, req *runRequest, scoreOnly bool, scores *repro.Scores) error {
 	if scoreOnly {
 		c.outcome = admission.OK
-		s.writeScores(c.w, req, scores)
-		return nil
+		return s.writeScores(c.w, req, scores)
 	}
 	if err := s.scoreGate(c.ctx); err != nil {
 		return err
@@ -914,13 +914,12 @@ func (s *server) respond(c *call, req *runRequest, scoreOnly bool, scores *repro
 	if scores != nil {
 		opts = append(opts, repro.WithScores(scores))
 	}
-	res, err := repro.BackboneContext(c.ctx, req.g, opts...)
+	res, sel, err := repro.SelectContext(c.ctx, req.g, opts...)
 	if err != nil {
 		return err
 	}
 	c.outcome = admission.OK
-	s.writeBackbone(c.w, req, res)
-	return nil
+	return s.writeBackbone(c.w, req, res, sel)
 }
 
 func cacheHeader(hit bool) string {
@@ -1051,20 +1050,48 @@ func (v scoreValue) MarshalJSON() ([]byte, error) {
 	return []byte("null"), nil
 }
 
-// graphEdges flattens a graph's canonical edges into wire form.
-func graphEdges(g *repro.Graph) []edgeJSON {
-	out := make([]edgeJSON, 0, g.NumEdges())
-	for _, e := range g.Edges() {
-		out = append(out, edgeJSON{Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)), Weight: e.Weight})
+// selectionEdges flattens the edges a selection keeps into wire form.
+func selectionEdges(sel repro.Selection) []edgeJSON {
+	g := sel.G
+	out := make([]edgeJSON, sel.Len())
+	for i := range out {
+		e := g.Edge(int(sel.ID(i)))
+		out[i] = edgeJSON{Src: g.LabelOrID(int(e.Src)), Dst: g.LabelOrID(int(e.Dst)), Weight: e.Weight}
 	}
 	return out
 }
 
-func (s *server) writeBackbone(w http.ResponseWriter, req *runRequest, res *repro.Result) {
+// cutHeaders describe the cut a backbone or score reply writes.
+var cutHeaders = []string{"X-Backbone-Method", "X-Backbone-Params", "X-Backbone-Edges", "X-Backbone-Duration-Ms"}
+
+// writeBody sets the reply's content type and writes its body. csv and
+// tsv refuse a label containing their separator before writing a byte,
+// so that refusal is still a clean 400: the reply's cut headers are
+// dropped and the error names the label. A later write error means the
+// client went away mid-reply; it is only logged.
+func (s *server) writeBody(w http.ResponseWriter, format string, write func(io.Writer) error) error {
+	w.Header().Set("Content-Type", responseContentType(format))
+	err := write(w)
+	if errors.Is(err, repro.ErrUnsafeLabel) {
+		for _, h := range cutHeaders {
+			w.Header().Del(h)
+		}
+		return &httpError{http.StatusBadRequest, err}
+	}
+	if err != nil {
+		s.logf("write response: %v", err)
+	}
+	return nil
+}
+
+// writeBackbone writes a backbone reply from the cut's selection: the
+// edge count and coverage come from it, and every encoder reads the
+// kept edges straight off the input graph.
+func (s *server) writeBackbone(w http.ResponseWriter, req *runRequest, res *repro.Result, sel repro.Selection) error {
 	params, _ := json.Marshal(res.Params)
 	w.Header().Set("X-Backbone-Method", res.Method)
 	w.Header().Set("X-Backbone-Params", string(params))
-	w.Header().Set("X-Backbone-Edges", strconv.Itoa(res.Backbone.NumEdges()))
+	w.Header().Set("X-Backbone-Edges", strconv.Itoa(sel.Len()))
 	w.Header().Set("X-Backbone-Duration-Ms", strconv.FormatInt(res.Duration.Milliseconds(), 10))
 	if req.asJSON {
 		w.Header().Set("Content-Type", "application/json")
@@ -1074,22 +1101,21 @@ func (s *server) writeBackbone(w http.ResponseWriter, req *runRequest, res *repr
 			"params":        res.Params,
 			"input_nodes":   req.g.NumNodes(),
 			"input_edges":   req.g.NumEdges(),
-			"nodes":         res.Backbone.NumConnected(),
-			"edges":         len(res.Backbone.Edges()),
+			"nodes":         sel.NumConnected(),
+			"edges":         sel.Len(),
 			"node_coverage": res.NodeCoverage,
 			"edge_coverage": res.EdgeCoverage,
 			"duration_ms":   res.Duration.Milliseconds(),
-			"backbone":      graphEdges(res.Backbone),
+			"backbone":      selectionEdges(sel),
 		})
-		return
+		return nil
 	}
-	w.Header().Set("Content-Type", responseContentType(req.outFormat))
-	if err := repro.WriteGraph(w, res.Backbone, repro.WithFormat(req.outFormat)); err != nil {
-		s.logf("write response: %v", err)
-	}
+	return s.writeBody(w, req.outFormat, func(w io.Writer) error {
+		return repro.WriteSelection(w, sel, repro.WithFormat(req.outFormat))
+	})
 }
 
-func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *repro.Scores) {
+func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *repro.Scores) error {
 	g := scores.G
 	edges := g.Edges()
 	w.Header().Set("X-Backbone-Method", req.method.Name)
@@ -1109,31 +1135,26 @@ func (s *server) writeScores(w http.ResponseWriter, req *runRequest, scores *rep
 		if err := json.NewEncoder(w).Encode(map[string]any{"method": req.method.Name, "scores": rows}); err != nil {
 			s.logf("write response: %v", err)
 		}
-		return
+		return nil
 	}
-	w.Header().Set("Content-Type", responseContentType(req.outFormat))
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-	switch req.outFormat {
-	case "ndjson":
-		enc := json.NewEncoder(bw)
-		for i, e := range edges {
-			if err := enc.Encode(row(i, e)); err != nil {
-				s.logf("write response: %v", err)
-				return
+	return s.writeBody(w, req.outFormat, func(w io.Writer) error {
+		if req.outFormat == "ndjson" {
+			bw := bufio.NewWriter(w)
+			enc := json.NewEncoder(bw)
+			for i, e := range edges {
+				if err := enc.Encode(row(i, e)); err != nil {
+					bw.Flush() // the rows before the failing one, as written so far
+					return err
+				}
 			}
+			return bw.Flush()
 		}
-	default:
-		sep := ","
+		sep := byte(',')
 		if req.outFormat == "tsv" {
-			sep = "\t"
+			sep = '\t'
 		}
-		fmt.Fprintf(bw, "src%sdst%sweight%sscore\n", sep, sep, sep)
-		for i, e := range edges {
-			fmt.Fprintf(bw, "%s%s%s%s%s%s%s\n",
-				g.LabelOrID(int(e.Src)), sep, g.LabelOrID(int(e.Dst)), sep,
-				strconv.FormatFloat(e.Weight, 'g', -1, 64), sep,
-				strconv.FormatFloat(scores.Score[i], 'g', -1, 64))
-		}
-	}
+		return graph.WriteEdgeRows(w, g.All(), sep, graph.Column{Name: "score", Append: func(buf []byte, id int32) []byte {
+			return strconv.AppendFloat(buf, scores.Score[id], 'g', -1, 64)
+		}})
+	})
 }

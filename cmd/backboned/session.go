@@ -335,6 +335,9 @@ func (s *server) readSession(scoreOnly bool) func(*call) error {
 		}
 		s.sessionReads.Add(1)
 		sess := c.sess
+		// Held until the reply is written: the reply is encoded straight
+		// off the materialization's arrays, which the exclusive delta
+		// recycles on the next materialization.
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
 		g, invalidated := sess.advance()

@@ -23,6 +23,9 @@ var (
 	ErrUnknownFormat = graph.ErrUnknownFormat
 	// ErrLineTooLong: an edge-list input line exceeded the per-line cap.
 	ErrLineTooLong = graph.ErrLineTooLong
+	// ErrUnsafeLabel: a node label contains the field separator (or a
+	// line break) of the csv or tsv output asked for.
+	ErrUnsafeLabel = graph.ErrUnsafeLabel
 )
 
 // ParamError reports an invalid method or pipeline parameter: the

@@ -179,5 +179,5 @@ func (ds *DoublyStochastic) Extract(g *graph.Graph) (*graph.Graph, error) {
 			break
 		}
 	}
-	return g.Subgraph(keep), nil
+	return g.FilterEdges(func(id int, _ graph.Edge) bool { return keep[id] }), nil
 }

@@ -50,5 +50,5 @@ func (m *MST) Extract(g *graph.Graph) (*graph.Graph, error) {
 		e := edges[id]
 		keep[id] = uf.Union(int(e.Src), int(e.Dst))
 	}
-	return u.Subgraph(keep), nil
+	return u.FilterEdges(func(id int, _ graph.Edge) bool { return keep[id] }), nil
 }

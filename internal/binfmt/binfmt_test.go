@@ -290,11 +290,7 @@ func TestMmapLazyIndexAcrossSubgraph(t *testing.T) {
 	g := randomGraph(t, 7, 20, 60, false)
 	f := openTemp(t, writeBBG(t, g))
 	loaded := f.Graph()
-	keep := make([]bool, loaded.NumEdges())
-	for i := range keep {
-		keep[i] = i%2 == 0
-	}
-	sub := loaded.Subgraph(keep)
+	sub := loaded.FilterEdges(func(id int, _ graph.Edge) bool { return id%2 == 0 })
 	for u := 0; u < g.NumNodes(); u++ {
 		if l := g.Label(u); l != "" && g.NodeID(l) == u {
 			if got := sub.NodeID(l); got != u {

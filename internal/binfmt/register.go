@@ -22,7 +22,7 @@ func init() {
 			// directed is ignored: the file header is authoritative.
 			return Read(r)
 		},
-		Write: Write,
+		Write: func(w io.Writer, sel graph.Selection) error { return Write(w, sel.Graph()) },
 		Sniff: func(prefix []byte) bool {
 			return len(prefix) >= len(magic) && string(prefix[:len(magic)]) == magic
 		},

@@ -23,11 +23,11 @@ func cut(t *testing.T, name string, g *graph.Graph, overrides filter.Params) *gr
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, _, err := m.BackboneCtx(context.Background(), g, p, -1, nil)
+	sel, _, err := m.BackboneCtx(context.Background(), g, p, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bb
+	return sel.Graph()
 }
 
 func approx(t *testing.T, got, want, tol float64, msg string) {

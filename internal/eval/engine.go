@@ -337,11 +337,12 @@ func evaluateMethod(ctx context.Context, g *graph.Graph, m *filter.Method, cfg C
 	if sizeMatched && m.CanScore() && !m.FixedSize {
 		k = target
 	}
-	bb, _, err := m.BackboneCtx(ctx, g, params, k, score)
+	sel, _, err := m.BackboneCtx(ctx, g, params, k, score)
 	if err != nil {
 		me.Err = err.Error()
 		return me
 	}
+	bb := sel.Graph()
 
 	me.Edges = bb.NumEdges()
 	if e := g.NumEdges(); e > 0 {

@@ -19,7 +19,7 @@
 // backbone allocates O(1) instead of materializing map[EdgeKey] sets and
 // weight maps per call. The original map-based implementations are
 // retained in oracle.go as property-test oracles, the same pattern as
-// the PR-2 Subgraph and PR-4 codec oracles.
+// the PR-2 CSR extraction and PR-4 codec oracles.
 package eval
 
 import (

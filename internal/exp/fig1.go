@@ -43,13 +43,14 @@ func Fig1(ctx context.Context, seed int64, n, k int) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	bb, _, err := nc.BackboneCtx(ctx, g, filter.Params{"delta": 2.32}, -1, nil)
+	sel, _, err := nc.BackboneCtx(ctx, g, filter.Params{"delta": 2.32}, -1, nil)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	bb := sel.Graph()
 	found := community.Louvain(bb, rand.New(rand.NewSource(seed+2)))
 
 	return &Fig1Result{

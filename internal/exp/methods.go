@@ -41,6 +41,9 @@ func BackboneWithShare(ctx context.Context, m *filter.Method, g *graph.Graph, sh
 	if m.CanScore() && !m.FixedSize {
 		k = int(share*float64(g.NumEdges()) + 0.5)
 	}
-	bb, _, err := m.BackboneCtx(ctx, g, m.Defaults(), k, nil)
-	return bb, err
+	sel, _, err := m.BackboneCtx(ctx, g, m.Defaults(), k, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sel.Graph(), nil
 }

@@ -75,20 +75,27 @@ func (s *Scores) Validate() error {
 	return nil
 }
 
-// Threshold returns the backbone keeping edges with Score > t.
-// The full node set is preserved so coverage can be measured. One pass:
-// survivors are collected directly off the score column and handed to
-// SubgraphEdges, skipping the keep mask and its extra edge-slice scans.
-func (s *Scores) Threshold(t float64) *graph.Graph {
-	all := s.G.Edges()
-	var edges []graph.Edge
+// Select returns the selection of edges with Score > t. One counting
+// pass sizes the id slice, so the cut costs one allocation. The fill
+// pass writes every id and advances past the kept ones only (into one
+// spare slot), which compiles without a branch on the score: a kept
+// share of a few percent would otherwise mispredict on most kept rows.
+func (s *Scores) Select(t float64) graph.Selection {
+	n := s.CountAbove(t)
+	ids := make([]int32, n+1)
+	k := 0
 	for id, v := range s.Score {
+		ids[k] = int32(id)
 		if v > t {
-			edges = append(edges, all[id])
+			k++
 		}
 	}
-	return s.G.SubgraphEdges(edges)
+	return graph.Selection{G: s.G, IDs: ids[:n]}
 }
+
+// Threshold returns the backbone keeping edges with Score > t.
+// The full node set is preserved so coverage can be measured.
+func (s *Scores) Threshold(t float64) *graph.Graph { return s.Select(t).Graph() }
 
 // CountAbove returns how many edges have Score > t.
 func (s *Scores) CountAbove(t float64) int {
@@ -172,34 +179,39 @@ func (s *Scores) topIDs(k int) []int {
 	return ids[:k]
 }
 
-// TopK returns the backbone with the k most significant edges
-// (all edges if k exceeds the edge count).
-func (s *Scores) TopK(k int) *graph.Graph {
+// SelectTop returns the selection of the k most significant edges (all
+// edges if k exceeds the edge count).
+func (s *Scores) SelectTop(k int) graph.Selection {
 	m := len(s.Score)
-	if k < 0 {
-		k = 0
-	}
-	if k > m {
-		k = m
-	}
-	keep := make([]bool, m)
-	if k == m {
-		for i := range keep {
-			keep[i] = true
+	k = max(0, min(k, m))
+	ids := make([]int32, 0, k)
+	switch {
+	case k == m:
+		for id := range m {
+			ids = append(ids, int32(id))
 		}
-	} else if k > 0 {
+	case k > 0:
+		keep := make([]bool, m)
 		for _, id := range s.topIDs(k) {
 			keep[id] = true
 		}
+		for id, ok := range keep {
+			if ok {
+				ids = append(ids, int32(id))
+			}
+		}
 	}
-	return s.G.Subgraph(keep)
+	return graph.Selection{G: s.G, IDs: ids}
 }
+
+// TopK returns the backbone with the k most significant edges
+// (all edges if k exceeds the edge count).
+func (s *Scores) TopK(k int) *graph.Graph { return s.SelectTop(k).Graph() }
 
 // TopFraction returns the backbone keeping the given share (0..1] of
 // edges, rounding to the nearest whole edge.
 func (s *Scores) TopFraction(f float64) *graph.Graph {
-	k := int(f*float64(len(s.Score)) + 0.5)
-	return s.TopK(k)
+	return s.SelectTop(int(f*float64(len(s.Score)) + 0.5)).Graph()
 }
 
 // ThresholdForK returns the significance value of the k-th ranked edge,

@@ -209,12 +209,15 @@ func (m *Method) NeedsTable(ranked bool) bool {
 // method without a Cut runs its Extractor instead. p holds resolved
 // parameters (see Resolve). table supplies the Scores table when
 // NeedsTable reports one is cut — a cache, a precomputed or an
-// incrementally re-scored table; nil means ScoreCtx. The returned table
-// is nil on the extractor path. Extract-only methods check ctx before
-// running their (uninterruptible) extractor.
-func (m *Method) BackboneCtx(ctx context.Context, g *graph.Graph, p Params, k int, table func() (*Scores, error)) (*graph.Graph, *Scores, error) {
+// incrementally re-scored table; nil means ScoreCtx. The backbone comes
+// back as a selection over the table's graph — which is g, or its
+// undirected view for methods that symmetrize directed input (hss) —
+// or, on the extractor path, as every edge of the extracted graph, in
+// which case the returned table is nil. Extract-only methods check ctx
+// before running their (uninterruptible) extractor.
+func (m *Method) BackboneCtx(ctx context.Context, g *graph.Graph, p Params, k int, table func() (*Scores, error)) (graph.Selection, *Scores, error) {
 	if k >= 0 && m.Scorer == nil {
-		return nil, nil, fmt.Errorf("filter: method %q: %w", m.Name, ErrNoScorer)
+		return graph.Selection{}, nil, fmt.Errorf("filter: method %q: %w", m.Name, ErrNoScorer)
 	}
 	if m.NeedsTable(k >= 0) {
 		if table == nil {
@@ -222,21 +225,24 @@ func (m *Method) BackboneCtx(ctx context.Context, g *graph.Graph, p Params, k in
 		}
 		s, err := table()
 		if err != nil {
-			return nil, nil, err
+			return graph.Selection{}, nil, err
 		}
 		if k >= 0 {
-			return s.TopK(k), s, nil
+			return s.SelectTop(k), s, nil
 		}
-		return s.Threshold(m.Cut(p)), s, nil
+		return s.Select(m.Cut(p)), s, nil
 	}
 	if m.Extractor == nil {
-		return nil, nil, fmt.Errorf("filter: method %q has neither a pruning rule nor an extractor", m.Name)
+		return graph.Selection{}, nil, fmt.Errorf("filter: method %q has neither a pruning rule nor an extractor", m.Name)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return graph.Selection{}, nil, err
 	}
 	bb, err := m.Extractor.Extract(g)
-	return bb, nil, err
+	if err != nil {
+		return graph.Selection{}, nil, err
+	}
+	return bb.All(), nil, nil
 }
 
 // Declared keeps only the parameters of p the method declares — the

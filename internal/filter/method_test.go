@@ -138,11 +138,11 @@ func TestMethodBackbone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, s, err := m.BackboneCtx(ctx, g, p, k, table)
+		sel, s, err := m.BackboneCtx(ctx, g, p, k, table)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bb, s
+		return sel.Graph(), s
 	}
 	bb, s := cut(m, nil, -1, nil)
 	if bb.NumEdges() != 2 { // weights 5 and 3 beat the default cut 2

@@ -248,7 +248,7 @@ func sortEdgeRecs(recs []edgeRec, keyBits uint) {
 
 // buildCSR assembles adjacency, strengths and the isolate count from
 // g.edges, which must already be canonical (sorted by (Src, Dst), no
-// duplicates). It is shared by Build and Subgraph. The three phases are
+// duplicates). It is shared by Build and Selection.Graph. The three phases are
 // separate methods so a delta materialization (delta.go) can build
 // offsets and strengths eagerly while deferring the arc scatter until
 // an accessor actually walks adjacency.

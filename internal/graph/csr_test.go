@@ -196,7 +196,7 @@ func TestBuilderMatchesMapReference(t *testing.T) {
 }
 
 // TestSubgraphMatchesRebuild: pruning through the zero-rebuild CSR
-// Subgraph must equal rebuilding the kept edges from scratch, for
+// Selection.Graph must equal rebuilding the kept edges from scratch, for
 // random keep masks — edges, strengths, totals, labels.
 func TestSubgraphMatchesRebuild(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
@@ -204,15 +204,15 @@ func TestSubgraphMatchesRebuild(t *testing.T) {
 		n := 2 + rng.Intn(30)
 		directed := trial%2 == 1
 		g := FromEdges(directed, n, randomRaw(rng, n))
-		keep := make([]bool, g.NumEdges())
+		var keep []int32
 		var keptRaw []Edge
 		for id, e := range g.Edges() {
 			if rng.Float64() < 0.5 {
-				keep[id] = true
+				keep = append(keep, int32(id))
 				keptRaw = append(keptRaw, e)
 			}
 		}
-		sub := g.Subgraph(keep)
+		sub := Selection{G: g, IDs: keep}.Graph()
 		want := FromEdges(directed, n, keptRaw)
 		if sub.NumNodes() != n || sub.NumEdges() != want.NumEdges() {
 			t.Fatalf("trial %d: subgraph %v, want %v", trial, sub, want)
@@ -244,7 +244,7 @@ func TestSubgraphSharesLabels(t *testing.T) {
 	b.AddEdgeLabels("a", "b", 1)
 	b.AddEdgeLabels("b", "c", 2)
 	g := b.Build()
-	sub := g.Subgraph([]bool{false, true})
+	sub := Selection{G: g, IDs: []int32{1}}.Graph()
 	if sub.Label(0) != "a" || sub.Label(2) != "c" {
 		t.Errorf("labels lost: %v", sub.Labels())
 	}

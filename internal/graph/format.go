@@ -38,8 +38,8 @@ type Format struct {
 	Order int
 	// Read parses an edge list into a Graph.
 	Read func(r io.Reader, directed bool) (*Graph, error)
-	// Write serializes the canonical edge list.
-	Write func(w io.Writer, g *Graph) error
+	// Write serializes the selected edges in canonical order.
+	Write func(w io.Writer, sel Selection) error
 	// Sniff reports whether the (decompressed) leading bytes of an
 	// input look like this format; nil means the format cannot be
 	// sniffed and must be named explicitly.
@@ -258,6 +258,12 @@ func ReadGraph(r io.Reader, o ReadOptions) (*Graph, error) {
 // bit-identically: reading the output back yields the same canonical
 // edge slice (labels and exact weights preserved).
 func WriteGraph(w io.Writer, g *Graph, o WriteOptions) error {
+	return WriteSelection(w, g.All(), o)
+}
+
+// WriteSelection is WriteGraph for the edges sel keeps: the bytes are
+// those of WriteGraph(sel.Graph()), written without building it.
+func WriteSelection(w io.Writer, sel Selection, o WriteOptions) error {
 	name := o.Format
 	if name == "" {
 		name = "csv"
@@ -275,13 +281,13 @@ func WriteGraph(w io.Writer, g *Graph, o WriteOptions) error {
 	}
 	if o.Gzip {
 		zw := gzip.NewWriter(w)
-		if err := f.Write(zw, g); err != nil {
+		if err := f.Write(zw, sel); err != nil {
 			zw.Close()
 			return err
 		}
 		return zw.Close()
 	}
-	return f.Write(w, g)
+	return f.Write(w, sel)
 }
 
 func init() {
@@ -291,7 +297,7 @@ func init() {
 		Desc:  "comma-separated `src,dst,weight` lines; also accepts tab- or space-separated input, `#` comments and a header row",
 		Order: 10,
 		Read:  readEdgeList,
-		Write: func(w io.Writer, g *Graph) error { return g.writeEdgeList(w, ',') },
+		Write: func(w io.Writer, sel Selection) error { return WriteEdgeRows(w, sel, ',') },
 		// csv is the sniffing fallback; no sniffer needed.
 	})
 	MustRegisterFormat(&Format{
@@ -300,7 +306,7 @@ func init() {
 		Desc:  "tab-separated `src\\tdst\\tweight` lines; labels may contain commas",
 		Order: 20,
 		Read:  readEdgeList,
-		Write: func(w io.Writer, g *Graph) error { return g.writeEdgeList(w, '\t') },
+		Write: func(w io.Writer, sel Selection) error { return WriteEdgeRows(w, sel, '\t') },
 		Sniff: func(prefix []byte) bool {
 			return bytes.IndexByte(firstLine(prefix), '\t') >= 0
 		},
@@ -311,7 +317,7 @@ func init() {
 		Desc:  "newline-delimited JSON objects `{\"src\":…,\"dst\":…,\"weight\":…}`; src/dst may be strings or numbers",
 		Order: 30,
 		Read:  readNDJSON,
-		Write: func(w io.Writer, g *Graph) error { return g.writeNDJSON(w) },
+		Write: writeNDJSON,
 		Sniff: func(prefix []byte) bool {
 			line := firstLine(prefix)
 			return len(line) > 0 && line[0] == '{'

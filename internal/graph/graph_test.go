@@ -135,7 +135,7 @@ func TestIsolates(t *testing.T) {
 
 func TestSubgraphPreservesNodes(t *testing.T) {
 	g := buildTriangle(t, true)
-	sub := g.Subgraph([]bool{true, false, false})
+	sub := Selection{G: g, IDs: []int32{0}}.Graph()
 	if sub.NumNodes() != 3 {
 		t.Errorf("node set shrank: %d", sub.NumNodes())
 	}
@@ -143,7 +143,7 @@ func TestSubgraphPreservesNodes(t *testing.T) {
 		t.Errorf("NumEdges = %d, want 1", sub.NumEdges())
 	}
 	if sub.NodeID("c") != g.NodeID("c") {
-		t.Error("labels lost in Subgraph")
+		t.Error("labels lost in Selection.Graph")
 	}
 }
 

@@ -74,7 +74,29 @@ func BenchmarkWriteNDJSON100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.writeNDJSON(io.Discard); err != nil {
+		if err := writeNDJSON(io.Discard, g.All()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteSelection1M writes a df-sized selection (one edge in
+// sixteen, the share df keeps of the benchmark corpus) of a 1M-edge
+// graph as csv: the session and cache-hit reply path.
+func BenchmarkWriteSelection1M(b *testing.B) {
+	g, err := readEdgeList(bytes.NewReader(benchEdgeListCSV(1_000_000)), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ids []int32
+	for id := 0; id < g.NumEdges(); id += 16 {
+		ids = append(ids, int32(id))
+	}
+	sel := Selection{G: g, IDs: ids}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteEdgeRows(io.Discard, sel, ','); err != nil {
 			b.Fatal(err)
 		}
 	}

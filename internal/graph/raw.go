@@ -66,7 +66,7 @@ type CSRParts struct {
 }
 
 // lazyIndex materializes the label->ID map on first use. Graphs loaded
-// from CSR storage share one lazyIndex across Subgraph copies, so the
+// from CSR storage share one lazyIndex across Selection.Graph copies, so the
 // map is built at most once per loaded file however many subgraphs are
 // extracted from it.
 type lazyIndex struct {

@@ -1,64 +1,17 @@
 package graph
 
-// Subgraph returns a copy of g restricted to the edges whose canonical
-// ID has keep[id] == true, preserving the full node set (so coverage —
-// the share of nodes left non-isolated — can be measured on the
-// result). keep must have length g.NumEdges().
-//
-// This is the allocation-light extraction path behind FilterEdges,
-// the mask-building extractors (mst, ds) and the Scores pruners: the kept edges are already
-// canonical (sorted by (Src, Dst), deduplicated, weights final), so the
-// subgraph is assembled straight into CSR form with zero hashing, and
-// the label slice and label index are shared with g (both are immutable
-// after construction).
-//
-//lint:ctxflow-ok tight O(m) CSR pass with no I/O; the pipeline checks ctx between stages
-func (g *Graph) Subgraph(keep []bool) *Graph {
-	kept := 0
-	for id := range g.edges {
-		if keep[id] {
-			kept++
-		}
-	}
-	edges := make([]Edge, 0, kept)
-	for id, e := range g.edges {
-		if keep[id] {
-			edges = append(edges, e)
-		}
-	}
-	return g.SubgraphEdges(edges)
-}
-
-// SubgraphEdges returns a copy of g containing exactly the given edges,
-// which must be a subsequence of g.Edges() (canonical order, no
-// duplicates); the result takes ownership of the slice. It is the fused
-// fast path behind Scores.Threshold — callers that already walk a
-// per-edge criterion collect the survivors directly instead of paying
-// for a keep mask plus two more O(m) passes over the edge slice.
-//
-//lint:ctxflow-ok tight O(m) CSR pass with no I/O; the pipeline checks ctx between stages
-func (g *Graph) SubgraphEdges(edges []Edge) *Graph {
-	sub := &Graph{
-		directed: g.directed,
-		labels:   g.labels,
-		index:    g.index,
-		lazy:     g.lazy,
-		edges:    edges,
-	}
-	sub.buildCSR(g.NumNodes())
-	return sub
-}
-
 // FilterEdges returns a copy of g containing only edges for which pred
 // returns true, preserving the full node set.
 //
 //lint:ctxflow-ok tight O(m) CSR pass with no I/O; the pipeline checks ctx between stages
 func (g *Graph) FilterEdges(pred func(id int, e Edge) bool) *Graph {
-	mask := make([]bool, len(g.edges))
+	var ids []int32
 	for id, e := range g.edges {
-		mask[id] = pred(id, e)
+		if pred(id, e) {
+			ids = append(ids, int32(id))
+		}
 	}
-	return g.Subgraph(mask)
+	return Selection{G: g, IDs: ids}.Graph()
 }
 
 // Undirected returns an undirected view of g: reciprocal directed edges

@@ -77,11 +77,19 @@ func ReadGraph(r io.Reader, opts ...IOOption) (*Graph, error) {
 // any registered format via WithFormat, optionally gzip-compressed via
 // WithGzip. Every format round-trips bit-identically through ReadGraph.
 func WriteGraph(w io.Writer, g *Graph, opts ...IOOption) error {
+	return WriteSelection(w, g.All(), opts...)
+}
+
+// WriteSelection is WriteGraph for the edges a selection keeps: the
+// bytes WriteGraph(w, sel.Graph()) writes, without building the graph.
+// A csv or tsv label containing the separator is an ErrUnsafeLabel
+// error, returned before any byte is written.
+func WriteSelection(w io.Writer, sel Selection, opts ...IOOption) error {
 	var c ioConfig
 	for _, o := range opts {
 		o(&c)
 	}
-	return graph.WriteGraph(w, g, graph.WriteOptions{Format: c.format, Gzip: c.gzip})
+	return graph.WriteSelection(w, sel, graph.WriteOptions{Format: c.format, Gzip: c.gzip})
 }
 
 // FormatsTable renders the registered I/O formats as a GitHub-flavored

@@ -206,12 +206,14 @@ type Result struct {
 	Title  string
 	// Params are the fully resolved parameter values of the run.
 	Params map[string]float64
-	// Backbone is the extracted subgraph (full node set preserved).
+	// Backbone is the extracted subgraph (full node set preserved);
+	// nil on results from SelectContext.
 	Backbone *Graph
 	// Scores is the significance table the backbone was pruned from;
 	// nil when the method extracts directly (mst, and ds without TopK).
 	Scores *Scores
-	// Duration is the wall time of scoring plus pruning.
+	// Duration is the wall time of scoring plus selecting the kept
+	// edges; building Backbone is not part of it.
 	Duration time.Duration
 	// Err is only set on results from BackboneAll: the method's runtime
 	// failure (e.g. the doubly stochastic transformation not existing
@@ -227,6 +229,10 @@ type Result struct {
 func (r *Result) String() string {
 	if r.Err != nil {
 		return fmt.Sprintf("%s: n/a (%v)", r.Method, r.Err)
+	}
+	if r.Backbone == nil { // a SelectContext result
+		return fmt.Sprintf("%s: %.1f%% node coverage, %.1f%% edges, %v",
+			r.Method, 100*r.NodeCoverage, 100*r.EdgeCoverage, r.Duration.Round(time.Microsecond))
 	}
 	return fmt.Sprintf("%s: %d edges, %.1f%% node coverage, %.1f%% edges, %v",
 		r.Method, r.Backbone.NumEdges(), 100*r.NodeCoverage, 100*r.EdgeCoverage, r.Duration.Round(time.Microsecond))
@@ -275,19 +281,48 @@ func Backbone(g *Graph, opts ...Option) (*Result, error) {
 //	defer cancel()
 //	res, err := repro.BackboneContext(ctx, g, repro.WithMethod("nc"))
 func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
-	c, m, err := resolve(opts)
+	res, sel, err := cut(ctx, g, opts)
 	if err != nil {
 		return nil, err
 	}
+	res.Backbone = sel.Graph()
+	res.setCoverage(g, res.Backbone.NumConnected(), res.Backbone.NumEdges())
+	return res, nil
+}
+
+// SelectContext is BackboneContext without building the backbone: it
+// returns the edges the cut keeps as a selection over the input (or,
+// for methods that symmetrize directed input, over its undirected
+// view), and a Result with every field but Backbone filled in. Write
+// the selection with WriteSelection, or build it with its Graph method;
+// both give exactly what BackboneContext's Backbone gives.
+func SelectContext(ctx context.Context, g *Graph, opts ...Option) (*Result, Selection, error) {
+	res, sel, err := cut(ctx, g, opts)
+	if err != nil {
+		return nil, Selection{}, err
+	}
+	res.setCoverage(g, sel.NumConnected(), sel.Len())
+	return res, sel, nil
+}
+
+// cut is the run BackboneContext and SelectContext share: resolve the
+// options, score or take the supplied table, and select the kept edges.
+// The coverage fields are left to the caller, which counts the kept
+// nodes on whatever it holds: a built backbone knows its count already.
+func cut(ctx context.Context, g *Graph, opts []Option) (*Result, Selection, error) {
+	c, m, err := resolve(opts)
+	if err != nil {
+		return nil, Selection{}, err
+	}
 	if c.scores != nil && c.scores.G != g {
-		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
+		return nil, Selection{}, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
 	}
 	so := filter.ScoreOpts{Progress: c.progress}
 	table := func() (*Scores, error) { return m.ScoreCtx(ctx, g, so) }
 	switch {
 	case c.dirtySet:
 		if table, err = c.dirtyTable(ctx, g, m, so); err != nil {
-			return nil, err
+			return nil, Selection{}, err
 		}
 	case c.scores != nil:
 		table = func() (*Scores, error) { return c.scores, nil }
@@ -300,35 +335,38 @@ func BackboneContext(ctx context.Context, g *Graph, opts ...Option) (*Result, er
 		k = int(c.topFrac*float64(g.NumEdges()) + 0.5) // as Scores.TopFraction rounds
 	}
 	if k >= 0 && !m.CanScore() {
-		return nil, fmt.Errorf("repro: method %q has a fixed backbone size and does not support top-k pruning: %w", m.Name, filter.ErrNoScorer)
+		return nil, Selection{}, fmt.Errorf("repro: method %q has a fixed backbone size and does not support top-k pruning: %w", m.Name, filter.ErrNoScorer)
 	}
 	if k < 0 && (c.scores != nil || c.dirtySet) && m.Cut == nil {
-		return nil, fmt.Errorf("repro: method %q has no threshold rule to prune a precomputed table: %w", m.Name, filter.ErrNoScorer)
+		return nil, Selection{}, fmt.Errorf("repro: method %q has no threshold rule to prune a precomputed table: %w", m.Name, filter.ErrNoScorer)
 	}
 	params, err := m.Resolve(c.params)
 	if err != nil {
-		return nil, err
+		return nil, Selection{}, err
 	}
 	start := time.Now()
-	bb, scores, err := m.BackboneCtx(ctx, g, params, k, table)
+	sel, scores, err := m.BackboneCtx(ctx, g, params, k, table)
 	if err != nil {
-		return nil, err
+		return nil, Selection{}, err
 	}
-	res := &Result{
+	return &Result{
 		Method:   m.Name,
 		Title:    m.Title,
 		Params:   params,
-		Backbone: bb,
 		Scores:   scores,
 		Duration: time.Since(start),
-	}
+	}, sel, nil
+}
+
+// setCoverage sets the coverage fields of a run on g from the number of
+// edges it kept and of nodes those edges touch.
+func (r *Result) setCoverage(g *Graph, nodes, edges int) {
 	if n := g.NumConnected(); n > 0 {
-		res.NodeCoverage = float64(bb.NumConnected()) / float64(n)
+		r.NodeCoverage = float64(nodes) / float64(n)
 	}
 	if e := g.NumEdges(); e > 0 {
-		res.EdgeCoverage = float64(bb.NumEdges()) / float64(e)
+		r.EdgeCoverage = float64(edges) / float64(e)
 	}
-	return res, nil
 }
 
 // Score computes the selected method's per-edge significance table
