@@ -25,6 +25,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/binfmt"
 	"repro/internal/cache"
+	"repro/internal/eval"
 	"repro/internal/filter"
 	"repro/internal/fleet"
 	"repro/internal/graph"
@@ -44,13 +45,26 @@ type graphKey struct {
 	directed bool
 }
 
-// scoreKey addresses one method's significance table for one parsed
-// graph. Method parameters are deliberately absent: they only move
-// pruning thresholds, never the table, so a client re-posting the same
-// network with a different delta scores nothing at all.
+// scoreKey addresses one score-cache entry for one parsed graph: a
+// method's significance table, or, with extract set, the backbone its
+// Extractor produces (mst; ds at its natural size), so ds's table and
+// ds's extraction are two entries. Method parameters are deliberately
+// absent. For a table they only move pruning thresholds, never the
+// table, so a client re-posting the same network with a different delta
+// scores nothing at all. An extraction may omit them only because
+// Extractor.Extract(g) takes none.
 type scoreKey struct {
-	g      graphKey
-	method string
+	g       graphKey
+	method  string
+	extract bool
+}
+
+// scoreEntry is one score-cache value: a significance table, or under
+// an extract key the extracted backbone, as the selection of all its
+// edges.
+type scoreEntry struct {
+	table    *repro.Scores
+	backbone repro.Selection
 }
 
 // serverConfig bundles the daemon's run controls.
@@ -102,10 +116,10 @@ type server struct {
 	logf    func(format string, args ...any)
 	metrics []metric
 	// graphs memoizes parsed request bodies; scores memoizes per-method
-	// significance tables. Either may be nil (disabled) — the nil LRU
-	// computes without caching.
+	// significance tables and extracted backbones. Either may be nil
+	// (disabled) — the nil LRU computes without caching.
 	graphs *cache.LRU[graphKey, *repro.Graph]
-	scores *cache.LRU[scoreKey, *repro.Scores]
+	scores *cache.LRU[scoreKey, scoreEntry]
 	start  time.Time
 	// graphDir is the -graphdir root ("" disables the mmap fast path);
 	// mmapFiles memoizes one load attempt per body digest — mapped
@@ -168,7 +182,7 @@ func newServer(cfg serverConfig) *server {
 		maxBody:   cfg.maxBody,
 		logf:      cfg.logf,
 		graphs:    cache.New[graphKey, *repro.Graph](cfg.graphCacheBytes),
-		scores:    cache.New[scoreKey, *repro.Scores](cfg.scoreCacheBytes),
+		scores:    cache.New[scoreKey, scoreEntry](cfg.scoreCacheBytes),
 		graphDir:  cfg.graphDir,
 		mmapFiles: map[[sha256.Size]byte]*mmapEntry{},
 		fleet:     cfg.fleet,
@@ -791,17 +805,35 @@ func (req *runRequest) addOptions(q url.Values, env *envelope) error {
 // table per (body, method). The returned hit flag reports whether this
 // call skipped scoring.
 func (s *server) cachedScores(ctx context.Context, gkey graphKey, g *repro.Graph, method string) (*repro.Scores, bool, error) {
-	key := scoreKey{g: gkey, method: method}
-	return s.scores.Do(ctx, key, func() (*repro.Scores, int64, error) {
+	e, hit, err := s.scores.Do(ctx, scoreKey{g: gkey, method: method}, func() (scoreEntry, int64, error) {
 		if err := s.scoreGate(ctx); err != nil {
-			return nil, 0, err
+			return scoreEntry{}, 0, err
 		}
 		sc, err := repro.ScoreContext(ctx, g, repro.WithMethod(method))
 		if err != nil {
-			return nil, 0, err
+			return scoreEntry{}, 0, err
 		}
-		return sc, scoresCost(sc), nil
+		return scoreEntry{table: sc}, scoresCost(sc), nil
 	})
+	return e.table, hit, err
+}
+
+// cachedExtract is cachedScores for a method /evaluate grades from its
+// extractor (eval.NeedsTable false): the extracted backbone shares the
+// score cache's byte budget, single flight and counters, charged at its
+// graphCost. The hit flag reports whether this call extracted nothing.
+func (s *server) cachedExtract(ctx context.Context, gkey graphKey, g *repro.Graph, m *repro.Method) (repro.Selection, bool, error) {
+	e, hit, err := s.scores.Do(ctx, scoreKey{g: gkey, method: m.Name, extract: true}, func() (scoreEntry, int64, error) {
+		if err := s.scoreGate(ctx); err != nil {
+			return scoreEntry{}, 0, err
+		}
+		sel, _, err := m.BackboneCtx(ctx, g, nil, -1, nil)
+		if err != nil {
+			return scoreEntry{}, 0, err
+		}
+		return scoreEntry{backbone: sel}, graphCost(sel.G), nil
+	})
+	return e.backbone, hit, err
 }
 
 // classifyRun picks the admission lane and latency cost key for a
@@ -844,25 +876,28 @@ func evalMethods(q url.Values) (names []string, ok bool) {
 }
 
 // classifyEvaluate is classifyRun for /evaluate: fast lane only when
-// every selected method's table is cached, i.e. the whole comparison
-// runs without scoring a single edge.
+// every entry the comparison reads is cached — each selected method's
+// table or, where eval.NeedsTable says it is graded from its extractor,
+// its extraction — i.e. the whole comparison runs without scoring or
+// extracting anything.
 func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
-	methods, ok := evalMethods(c.q)
+	var methods []*repro.Method
+	names, ok := evalMethods(c.q)
 	if !ok {
-		for _, m := range repro.Methods() {
-			if !m.CanScore() {
-				// An extract-only method has no cacheable table; the
-				// comparison will run it cold.
-				return admission.Cold, "evaluate"
-			}
-			methods = append(methods, m.Name)
+		methods = repro.Methods()
+	}
+	for _, name := range names {
+		m, err := repro.LookupMethod(name)
+		if err != nil {
+			return admission.Cold, "evaluate"
 		}
+		methods = append(methods, m)
 	}
 	if c.key.mode == "envelope" || len(methods) == 0 {
 		return admission.Cold, "evaluate"
 	}
-	for _, name := range methods {
-		if !s.scores.Contains(scoreKey{g: c.key, method: name}) {
+	for _, m := range methods {
+		if !s.scores.Contains(scoreKey{g: c.key, method: m.Name, extract: !eval.NeedsTable(m, true)}) {
 			return admission.Cold, "evaluate"
 		}
 	}
@@ -962,10 +997,12 @@ func (s *server) runStateless(scoreOnly bool) func(*call) error {
 
 // evaluate executes POST /evaluate: one registry-wide, size-matched
 // method comparison of the body's network as a JSON report. Every
-// method's table resolves through the shared score cache, so tables
-// computed by earlier /backbone, /score or /evaluate calls on the same
-// body are reused (X-Backbone-Cache: hit when all were) and concurrent
-// identical evaluations coalesce per method.
+// method's table, and every extraction a fixed-size method is graded
+// from, resolves through the shared score cache, so tables computed by
+// earlier /backbone, /score or /evaluate calls on the same body are
+// reused, a repeat comparison extracts nothing (X-Backbone-Cache: hit
+// when it computed neither), and concurrent identical evaluations
+// coalesce per method.
 func (s *server) evaluate(c *call) error {
 	// Method narrowing: the query's, then the envelope's method field;
 	// with none of them every registered method is compared. Name
@@ -987,9 +1024,26 @@ func (s *server) evaluate(c *call) error {
 	if err := req.addOptions(c.q, c.env); err != nil {
 		return err
 	}
-	req.opts = append(req.opts, repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-		return s.cachedScores(ctx, c.key, c.g, m.Name)
-	}))
+	// Both sources count their reads and cache hits: the reply is a
+	// hit when the comparison read something and computed nothing.
+	var reads, hits atomic.Int32
+	count := func(hit bool) {
+		reads.Add(1)
+		if hit {
+			hits.Add(1)
+		}
+	}
+	req.opts = append(req.opts,
+		repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
+			sc, hit, err := s.cachedScores(ctx, c.key, c.g, m.Name)
+			count(hit)
+			return sc, hit, err
+		}),
+		repro.WithExtractSource(func(ctx context.Context, m *repro.Method) (repro.Selection, error) {
+			sel, hit, err := s.cachedExtract(ctx, c.key, c.g, m)
+			count(hit)
+			return sel, err
+		}))
 	rep, err := repro.CompareContext(c.ctx, c.g, req.opts...)
 	if err != nil {
 		return err
@@ -997,8 +1051,7 @@ func (s *server) evaluate(c *call) error {
 	c.outcome = admission.OK
 	s.evalCacheSkips.Add(uint64(rep.CacheHits))
 
-	// Hit means every needed table was cached: zero scoring ran.
-	c.w.Header().Set("X-Backbone-Cache", cacheHeader(rep.ScoredMethods > 0 && rep.CacheHits == rep.ScoredMethods))
+	c.w.Header().Set("X-Backbone-Cache", cacheHeader(reads.Load() > 0 && hits.Load() == reads.Load()))
 	c.w.Header().Set("X-Backbone-Eval-Methods", strconv.Itoa(len(rep.Methods)))
 	c.w.Header().Set("X-Backbone-Eval-Scored", strconv.Itoa(rep.ScoredMethods))
 	c.w.Header().Set("X-Backbone-Eval-Cached", strconv.Itoa(rep.CacheHits))

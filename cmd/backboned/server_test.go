@@ -763,6 +763,107 @@ func TestEvaluateCacheReuse(t *testing.T) {
 	}
 }
 
+// TestEvaluateLanes: /evaluate is admitted on the fast lane exactly
+// when every entry the comparison reads is cached — a scoring method's
+// table, a fixed-size method's extraction — so a repeat comparison
+// that includes mst rides the fast lane, and ds's cached table does
+// not make a comparison that extracts ds fast.
+func TestEvaluateLanes(t *testing.T) {
+	s, ts := newTestServer(t, 2, 10*time.Second)
+	body := encodeGraph(t, testGraph(t, 400), "csv").Bytes()
+	post := func(url string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+url, "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, out)
+		}
+		return resp.Header.Get("X-Backbone-Cache")
+	}
+	// lanes posts url and returns how many requests each lane admitted.
+	lanes := func(url string) (fast, cold uint64, cache string) {
+		t.Helper()
+		before := s.limiter.Stats()
+		cache = post(url)
+		after := s.limiter.Stats()
+		return after.Fast.Admitted - before.Fast.Admitted, after.Cold.Admitted - before.Cold.Admitted, cache
+	}
+	for _, c := range []struct {
+		name, warm, url string
+		fast, cold      uint64
+		cache           string
+	}{
+		{"repeat with mst", "/evaluate?methods=nc,df,nt,mst", "/evaluate?methods=nc,df,nt,mst", 1, 0, "hit"},
+		{"ds table only", "/score?method=ds", "/evaluate?methods=ds", 0, 1, "miss"},
+		{"ds extraction cached", "", "/evaluate?methods=ds", 1, 0, "hit"},
+	} {
+		if c.warm != "" {
+			post(c.warm)
+		}
+		fast, cold, cache := lanes(c.url)
+		if fast != c.fast || cold != c.cold || cache != c.cache {
+			t.Errorf("%s: fast +%d, cold +%d, X-Backbone-Cache %q; want fast +%d, cold +%d, %q",
+				c.name, fast, cold, cache, c.fast, c.cold, c.cache)
+		}
+	}
+}
+
+// TestEvaluateExtractOnlyCache: an extract-only comparison is a cache
+// miss the first time and a hit after, its extraction is charged to the
+// score cache, and the table counters stay at zero.
+func TestEvaluateExtractOnlyCache(t *testing.T) {
+	_, ts := newTestServer(t, 2, 10*time.Second)
+	body := encodeGraph(t, testGraph(t, 400), "csv").Bytes()
+	before := getStatsz(t, ts.URL)
+	var replies [][]byte
+	for _, want := range []string{"miss", "hit"} {
+		resp, err := http.Post(ts.URL+"/evaluate?methods=mst", "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, out)
+		}
+		if got := resp.Header.Get("X-Backbone-Cache"); got != want {
+			t.Errorf("X-Backbone-Cache = %q, want %q", got, want)
+		}
+		for _, h := range []string{"X-Backbone-Eval-Scored", "X-Backbone-Eval-Cached"} {
+			if got := resp.Header.Get(h); got != "0" {
+				t.Errorf("%s = %q, want 0 (mst has no table)", h, got)
+			}
+		}
+		rep := &repro.EvalReport{}
+		if err := json.Unmarshal(out, rep); err != nil {
+			t.Fatal(err)
+		}
+		rep.DurationMs, rep.Methods[0].DurationMs = 0, 0
+		out, _ = json.Marshal(rep)
+		replies = append(replies, out)
+	}
+	if !bytes.Equal(replies[0], replies[1]) {
+		t.Errorf("cached extraction graded differently:\n%s\n%s", replies[0], replies[1])
+	}
+	after := getStatsz(t, ts.URL)
+	if got := after.ScoreCache.Misses - before.ScoreCache.Misses; got != 1 {
+		t.Errorf("score cache misses +%d, want +1 (one extraction)", got)
+	}
+	if got := after.ScoreCache.Hits - before.ScoreCache.Hits; got != 1 {
+		t.Errorf("score cache hits +%d, want +1", got)
+	}
+	if after.ScoreCache.Bytes <= before.ScoreCache.Bytes {
+		t.Errorf("score cache bytes %d -> %d: the extraction is not charged", before.ScoreCache.Bytes, after.ScoreCache.Bytes)
+	}
+	if after.Evaluate.CacheSkips != before.Evaluate.CacheSkips {
+		t.Errorf("evaluate cache skips %d -> %d: they count tables only", before.Evaluate.CacheSkips, after.Evaluate.CacheSkips)
+	}
+}
+
 // TestEvaluateValidation: /evaluate maps caller mistakes to 400 and
 // non-POST to 405, like its sibling endpoints.
 func TestEvaluateValidation(t *testing.T) {

@@ -47,6 +47,12 @@ type Designer = eval.Designer
 // daemon plugs its content-addressed score cache in here.
 type ScoreSource = eval.ScoreSource
 
+// ExtractSource supplies a (possibly cached) extracted backbone for a
+// method an evaluation grades without a significance table (mst, and
+// ds at its natural size). The backboned daemon plugs its
+// content-addressed score cache in here too.
+type ExtractSource = eval.ExtractSource
+
 // WithMethods narrows an evaluation to the named methods (default:
 // every registered method, in registry order).
 func WithMethods(names ...string) Option {
@@ -105,6 +111,16 @@ func WithScoreSource(src ScoreSource) Option {
 	return func(c *config) { c.evalSource = src }
 }
 
+// WithExtractSource replaces running a method's extractor with the
+// given source, so repeated evaluations of the same graph extract
+// nothing either. The source is consulted for exactly the methods
+// WithScoreSource is not: those graded at their extractor's fixed-size
+// backbone. It may key its entries by graph and method alone, since an
+// extractor takes no parameters.
+func WithExtractSource(src ExtractSource) Option {
+	return func(c *config) { c.evalExtract = src }
+}
+
 // WithEvalProgress registers a per-method scoring progress callback; fn
 // is invoked concurrently from the per-method goroutines.
 func WithEvalProgress(fn func(method string, done, total int)) Option {
@@ -160,6 +176,7 @@ func evalConfig(opts []Option) (eval.Config, error) {
 		Designer:      c.evalDesigner,
 		Dataset:       c.evalDataset,
 		Source:        c.evalSource,
+		Extract:       c.evalExtract,
 		Progress:      c.evalProgress,
 	}
 	if cfg.Progress == nil && c.progress != nil {

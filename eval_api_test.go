@@ -78,6 +78,9 @@ func TestEvalOnlyOptionsRejectedByPipeline(t *testing.T) {
 		"WithScoreSource": WithScoreSource(func(context.Context, *Method) (*Scores, bool, error) {
 			return nil, false, nil
 		}),
+		"WithExtractSource": WithExtractSource(func(context.Context, *Method) (Selection, error) {
+			return Selection{}, nil
+		}),
 	} {
 		var pe *ParamError
 		if _, err := Backbone(g, opt); !errors.As(err, &pe) {

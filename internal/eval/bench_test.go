@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,7 @@ func BenchmarkEvaluate100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Coverage(f.g, f.bb)
+		_ = Coverage(f.g, f.bb.All())
 		_ = Recovery(f.bb, f.truth)
 		f.cur, f.nxt = WeightJoin(f.bb, f.next, f.cur[:0], f.nxt[:0])
 	}
@@ -57,7 +58,7 @@ func BenchmarkEvaluateOracle100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Coverage(f.g, f.bb)
+		_ = Coverage(f.g, f.bb.All())
 		_ = Jaccard(f.bb.EdgeSet(), f.truth.EdgeSet())
 		f.cur, f.nxt = weightJoinOracle(f.bb, f.next)
 	}
@@ -73,6 +74,32 @@ func BenchmarkStability100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if s := Stability(f.bb, f.next); s != 0 {
 			_ = s
+		}
+	}
+}
+
+// BenchmarkCompareCacheHit is the daemon's cache-hit /evaluate in
+// process: a 20k-edge size-matched comparison of nc, df, nt and mst
+// whose tables and mst extraction both come from warm sources: each
+// iteration only cuts the top-k selections and grades them, scoring and
+// extracting nothing.
+func BenchmarkCompareCacheHit(b *testing.B) {
+	g := engineGraph(b, 20_000)
+	score, extract := caches(g)
+	cfg := Config{Methods: []string{"nc", "df", "nt", "mst"}, MaxConcurrent: 1, Source: score, Extract: extract}
+	ctx := context.Background()
+	if _, err := Compare(ctx, g, cfg); err != nil { // warm both sources
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Compare(ctx, g, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.CacheHits != rep.ScoredMethods {
+			b.Fatalf("%d of %d tables cached", rep.CacheHits, rep.ScoredMethods)
 		}
 	}
 }

@@ -54,6 +54,15 @@ func (f *Float) UnmarshalJSON(data []byte) error {
 // calls (a cache.LRU is; a bare map is not).
 type ScoreSource func(ctx context.Context, m *filter.Method) (*filter.Scores, bool, error)
 
+// ExtractSource supplies a (possibly cached) backbone for a method
+// graded without a table (NeedsTable false: mst, and ds at its natural
+// size), as the selection of every edge of the extracted graph. A cache
+// may key it by graph and method alone, without parameters, only
+// because Extractor.Extract(g) takes none. The backboned daemon plugs
+// its score cache in here so a cache-hit comparison extracts nothing.
+// Like ScoreSource it must be safe for concurrent calls.
+type ExtractSource func(ctx context.Context, m *filter.Method) (graph.Selection, error)
+
 // Config parameterizes one evaluation run. The zero value evaluates
 // every method of the default registry with only the always-available
 // criteria (coverage, edge share).
@@ -92,6 +101,9 @@ type Config struct {
 	Dataset  string
 	// Source, when non-nil, replaces direct scoring; see ScoreSource.
 	Source ScoreSource
+	// Extract, when non-nil, replaces running the extractor; see
+	// ExtractSource.
+	Extract ExtractSource
 	// Progress, when non-nil, receives per-method scoring progress. It
 	// is called concurrently from the per-method goroutines.
 	Progress func(method string, done, total int)
@@ -173,6 +185,22 @@ func Evaluate(ctx context.Context, g *graph.Graph, cfg Config) (*Report, error) 
 // size and are reported alongside, as in the paper's sweep figures.
 func Compare(ctx context.Context, g *graph.Graph, cfg Config) (*Report, error) {
 	return run(ctx, g, cfg, true)
+}
+
+// NeedsTable reports whether grading m reads a significance table (from
+// Config.Source) rather than an extracted backbone (from
+// Config.Extract). A Compare run (sizeMatched) cuts every rankable
+// method to the comparison size; fixed-size and extract-only methods,
+// and every method in an Evaluate run, take their natural cut. Callers
+// that predict which cached entries a run reads (the daemon's
+// admission) ask this same predicate.
+func NeedsTable(m *filter.Method, sizeMatched bool) bool {
+	return m.NeedsTable(ranked(m, sizeMatched))
+}
+
+// ranked reports whether a run cuts m to the comparison size.
+func ranked(m *filter.Method, sizeMatched bool) bool {
+	return sizeMatched && m.CanScore() && !m.FixedSize
 }
 
 // run is the shared engine: resolve the method set, precompute the
@@ -334,29 +362,38 @@ func evaluateMethod(ctx context.Context, g *graph.Graph, m *filter.Method, cfg C
 	// keep their natural output regardless of the comparison size — the
 	// paper plots them as single points.
 	k := -1
-	if sizeMatched && m.CanScore() && !m.FixedSize {
+	if ranked(m, sizeMatched) {
 		k = target
 	}
-	sel, _, err := m.BackboneCtx(ctx, g, params, k, score)
+	var sel graph.Selection
+	if cfg.Extract != nil && !NeedsTable(m, sizeMatched) {
+		sel, err = cfg.Extract(ctx, m)
+	} else {
+		sel, _, err = m.BackboneCtx(ctx, g, params, k, score)
+	}
 	if err != nil {
 		me.Err = err.Error()
 		return me
 	}
-	bb := sel.Graph()
 
-	me.Edges = bb.NumEdges()
+	// Size and coverage are read off the selection; only the criteria
+	// that join the backbone against another graph build it.
+	me.Edges = sel.Len()
 	if e := g.NumEdges(); e > 0 {
-		me.EdgeShare = Float(float64(bb.NumEdges()) / float64(e))
+		me.EdgeShare = Float(float64(sel.Len()) / float64(e))
 	}
-	me.Coverage = Float(Coverage(g, bb))
-	if cfg.Next != nil {
-		me.Stability = Float(Stability(bb, cfg.Next))
-	}
-	if cfg.Truth != nil {
-		me.Recovery = Float(Recovery(bb, cfg.Truth))
-	}
-	if cfg.Designer != nil {
-		me.Quality = Float(quality(cfg.Designer, cfg.Dataset, g, bb, r2Full))
+	me.Coverage = Float(Coverage(g, sel))
+	if cfg.Next != nil || cfg.Truth != nil || cfg.Designer != nil {
+		bb := sel.Graph()
+		if cfg.Next != nil {
+			me.Stability = Float(Stability(bb, cfg.Next))
+		}
+		if cfg.Truth != nil {
+			me.Recovery = Float(Recovery(bb, cfg.Truth))
+		}
+		if cfg.Designer != nil {
+			me.Quality = Float(quality(cfg.Designer, cfg.Dataset, g, bb, r2Full))
+		}
 	}
 	me.Composite = composite(me)
 	return me

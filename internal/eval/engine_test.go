@@ -128,7 +128,7 @@ func TestCompareCriteriaAgainstDirectCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := s.TopK(truth.NumEdges())
-	if want := Coverage(g, bb); float64(me.Coverage) != want {
+	if want := Coverage(g, bb.All()); float64(me.Coverage) != want {
 		t.Errorf("coverage = %v, direct %v", me.Coverage, want)
 	}
 	if want := Stability(bb, next); float64(me.Stability) != want {

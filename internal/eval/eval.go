@@ -30,14 +30,17 @@ import (
 	"repro/internal/stats"
 )
 
-// Coverage returns |non-isolated nodes in backbone| / |non-isolated
+// Coverage returns |nodes the backbone's edges touch| / |non-isolated
 // nodes in original|. A perfect backbone keeps every node reachable.
-// Both counts are precomputed at build time, so this is O(1).
+// The backbone is a selection — of the original's edges, of its
+// undirected view, or of every edge of an extracted graph — so grading
+// it never builds it: the all-edges selection reads the count
+// precomputed at build time, any other walks its kept edges once.
 //
 // When the original network has no connected nodes at all the criterion
 // is undefined and NaN is returned; JSON surfaces must encode that as
 // null (encoding/json rejects NaN — see Float).
-func Coverage(original, backbone *graph.Graph) float64 {
+func Coverage(original *graph.Graph, backbone graph.Selection) float64 {
 	denom := original.NumConnected()
 	if denom == 0 {
 		return math.NaN()

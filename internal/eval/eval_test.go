@@ -19,16 +19,21 @@ func chain(n int, weights ...float64) *graph.Graph {
 
 func TestCoverage(t *testing.T) {
 	orig := chain(4, 1, 2, 3) // all 4 nodes connected
-	bb := orig.FilterEdges(func(_ int, e graph.Edge) bool { return e.Weight >= 2 })
+	var kept []int32
+	for i, e := range orig.Edges() {
+		if e.Weight >= 2 {
+			kept = append(kept, int32(i))
+		}
+	}
 	// Edges (1,2),(2,3) survive: node 0 isolated -> coverage 3/4.
-	if got := Coverage(orig, bb); math.Abs(got-0.75) > 1e-12 {
+	if got := Coverage(orig, graph.Selection{G: orig, IDs: kept}); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("Coverage = %v, want 0.75", got)
 	}
-	if got := Coverage(orig, orig); got != 1 {
+	if got := Coverage(orig, orig.All()); got != 1 {
 		t.Errorf("self coverage = %v", got)
 	}
 	empty := graph.NewBuilder(false).Build()
-	if !math.IsNaN(Coverage(empty, empty)) {
+	if !math.IsNaN(Coverage(empty, empty.All())) {
 		t.Error("coverage of empty graph should be NaN")
 	}
 }

@@ -51,6 +51,7 @@ type config struct {
 	evalDesigner    Designer
 	evalDataset     string
 	evalSource      ScoreSource
+	evalExtract     ExtractSource
 	evalProgress    func(method string, done, total int)
 	evalConcurrency int
 }
@@ -68,6 +69,8 @@ func (c *config) evalOnly() string {
 		return "WithQualityDesign"
 	case c.evalSource != nil:
 		return "WithScoreSource"
+	case c.evalExtract != nil:
+		return "WithExtractSource"
 	case c.evalProgress != nil:
 		return "WithEvalProgress"
 	case c.evalConcurrency != 0:
