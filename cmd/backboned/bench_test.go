@@ -10,10 +10,11 @@ import (
 	"time"
 )
 
-// benchDaemon measures end-to-end request latency through the full
+// benchDaemon measures end-to-end /backbone latency through the full
 // HTTP stack: cold (every body unique — parse + score every time)
-// versus cache-hit (identical bodies — straight to extraction).
-func benchDaemon(b *testing.B, unique bool) {
+// versus cache-hit (identical bodies — straight to the cut, asserted
+// via the X-Backbone-Cache header).
+func benchDaemon(b *testing.B, query string, unique bool) {
 	s := newServer(serverConfig{
 		workers: 4, timeout: time.Minute, maxBody: 1 << 28,
 		graphCacheBytes: 256 << 20, scoreCacheBytes: 256 << 20,
@@ -22,8 +23,8 @@ func benchDaemon(b *testing.B, unique bool) {
 	defer ts.Close()
 
 	base := encodeGraph(b, testGraph(b, 20_000), "csv").Bytes()
-	url := ts.URL + "/backbone?method=nc&delta=1.64"
-	post := func(body []byte) {
+	url := ts.URL + "/backbone?" + query
+	post := func(body []byte, wantHit bool) {
 		resp, err := http.Post(url, "text/csv", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
@@ -33,8 +34,11 @@ func benchDaemon(b *testing.B, unique bool) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
+		if got := resp.Header.Get("X-Backbone-Cache"); wantHit && got != "hit" {
+			b.Fatalf("X-Backbone-Cache = %q, want hit", got)
+		}
 	}
-	post(base) // warm: the cache-hit benchmark measures pure hits
+	post(base, false) // warm: the cache-hit benchmarks measure pure hits
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -44,12 +48,17 @@ func benchDaemon(b *testing.B, unique bool) {
 			// parsing cost stays identical.
 			body = append(bytes.Clone(base), fmt.Sprintf("# req %d\n", i)...)
 		}
-		post(body)
+		post(body, !unique)
 	}
 }
 
-func BenchmarkDaemonBackboneCold(b *testing.B)     { benchDaemon(b, true) }
-func BenchmarkDaemonBackboneCacheHit(b *testing.B) { benchDaemon(b, false) }
+func BenchmarkDaemonBackboneCold(b *testing.B)     { benchDaemon(b, "method=nc&delta=1.64", true) }
+func BenchmarkDaemonBackboneCacheHit(b *testing.B) { benchDaemon(b, "method=nc&delta=1.64", false) }
+
+// BenchmarkDaemonBackboneExtractHit is the cache hit of a method whose
+// cut runs its extractor (mst): the warm-up request extracts once and
+// every measured request reads the cached extraction.
+func BenchmarkDaemonBackboneExtractHit(b *testing.B) { benchDaemon(b, "method=mst", false) }
 
 // benchDaemonColdGraph measures a request that must re-resolve its
 // graph every time (both LRU caches disabled — the perpetual-cold-miss

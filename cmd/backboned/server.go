@@ -72,10 +72,6 @@ type serverConfig struct {
 	workers int           // hard concurrency cap (admission MaxConcurrent)
 	timeout time.Duration // per-request wall clock budget
 	maxBody int64
-	// admissionCfg, when non-nil, overrides the derived admission
-	// config entirely (tests tune cooldowns, queues and clocks);
-	// MaxConcurrent defaults to workers if left zero.
-	admissionCfg *admission.Config
 	// graphCacheBytes / scoreCacheBytes bound the content-addressed
 	// caches; 0 disables one.
 	graphCacheBytes int64
@@ -162,17 +158,10 @@ func newServer(cfg serverConfig) *server {
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
 	}
-	acfg := admission.Config{MaxConcurrent: cfg.workers, Adaptive: true}
-	if cfg.admissionCfg != nil {
-		acfg = *cfg.admissionCfg
-		if acfg.MaxConcurrent == 0 {
-			acfg.MaxConcurrent = cfg.workers
-		}
-	}
-	limiter, err := admission.NewLimiter(acfg)
+	limiter, err := admission.NewLimiter(admission.Config{MaxConcurrent: cfg.workers, Adaptive: true})
 	if err != nil {
-		// Unreachable: workers is floored to 1 above and the override
-		// path fills MaxConcurrent; fail loud rather than serve unbounded.
+		// Unreachable: workers is floored to 1 above; fail loud rather
+		// than serve unbounded.
 		panic(err)
 	}
 	s := &server{
@@ -212,8 +201,8 @@ func newServer(cfg serverConfig) *server {
 	}
 	evaluate := stateless(s.classifyEvaluate, s.evaluate)
 	evaluate.counter = &s.evalRequests
-	s.mux.HandleFunc("/backbone", s.serve(stateless(s.classifyRun, s.runStateless(false))))
-	s.mux.HandleFunc("/score", s.serve(stateless(s.classifyRun, s.runStateless(true))))
+	s.mux.HandleFunc("/backbone", s.serve(stateless(s.classifyRun(false), s.runStateless(false))))
+	s.mux.HandleFunc("/score", s.serve(stateless(s.classifyRun(true), s.runStateless(true))))
 	s.mux.HandleFunc("/evaluate", s.serve(evaluate))
 	s.mux.HandleFunc("POST /session", s.serve(op{route: byBody,
 		classify: fixedLane(admission.Cold, "session-create"), resolve: s.resolveBody, execute: s.createSession}))
@@ -345,16 +334,19 @@ at one common backbone size (?top= / ?frac=, default the top 10% of
 edges) under the paper's criteria and returns the scored ranking as
 JSON; undefined criteria (NaN) encode as null.
 
-Responses carry X-Backbone-Cache: "hit" when a content-addressed cache
-match let the request skip parsing and scoring, else "miss". Re-posting
-the same body with different method parameters (delta, alpha, top, ...)
-is always a hit: parameters move thresholds, never the score table.
-/evaluate reports "hit" when every method's table was cached — the
-whole comparison ran without scoring a single edge.
+Responses carry X-Backbone-Cache: "hit" when the content-addressed score
+cache held everything the request reads, so it scored and extracted
+nothing, else "miss". A cut reads its method's score table, or, for mst
+and for ds without top/frac, the backbone its extractor produces; the
+cache keeps both per body. Re-posting the same body with different
+method parameters (delta, alpha, top, ...) is a hit when it reads the
+same entry: parameters move thresholds, never the table. /evaluate
+reports "hit" when every compared method's entry was cached — the whole
+comparison computed nothing.
 
 Admission is adaptive (AIMD under the -workers hard cap) with two
-priority lanes: requests whose score tables are already cached take the
-fast lane; cold scoring queues behind a reserved-slot cold lane. A 503
+priority lanes: requests whose every cache entry is already there take
+the fast lane; cold work queues behind a reserved-slot cold lane. A 503
 response carries a Retry-After computed from current queue depth and
 observed latency. Requests may carry X-Backbone-Deadline (remaining
 budget, integer milliseconds); an exhausted budget is refused with 504
@@ -470,7 +462,6 @@ func (s *server) handleFormats(w http.ResponseWriter, r *http.Request) {
 type runRequest struct {
 	g         *repro.Graph
 	method    *repro.Method
-	topSet    bool // a top/frac pruning option is present
 	opts      []repro.Option
 	outFormat string
 	asJSON    bool
@@ -697,9 +688,8 @@ func (s *server) resolveBody(c *call) error {
 // from the query string and, when the body was a JSON envelope, the
 // envelope's fields — the query overrides the envelope. outFormat is
 // the input format the response mirrors unless ?outformat= says
-// otherwise ("" for csv). A score request must pass the pipeline's own
-// Score checks: its table comes from a cache, not from Score.
-func parseRun(c *call, outFormat string, scoreOnly bool) (*runRequest, error) {
+// otherwise ("" for csv).
+func parseRun(c *call, outFormat string) (*runRequest, error) {
 	methodName := "nc"
 	if c.env != nil && c.env.Method != "" {
 		methodName = c.env.Method
@@ -726,11 +716,6 @@ func parseRun(c *call, outFormat string, scoreOnly bool) (*runRequest, error) {
 		req.outFormat = "csv"
 	}
 	req.asJSON = c.q.Get("response") == "json" || strings.Contains(c.r.Header.Get("Accept"), "application/json")
-	if scoreOnly {
-		if err := repro.ValidateScore(req.opts...); err != nil {
-			return nil, err
-		}
-	}
 	return req, nil
 }
 
@@ -754,11 +739,9 @@ func (req *runRequest) addOptions(q url.Values, env *envelope) error {
 		}
 		if q.Get("top") == "" && q.Get("frac") == "" {
 			if env.Top != nil {
-				req.topSet = true
 				req.opts = append(req.opts, repro.WithTopK(*env.Top))
 			}
 			if env.Frac != nil {
-				req.topSet = true
 				req.opts = append(req.opts, repro.WithTopFraction(*env.Frac))
 			}
 		}
@@ -783,7 +766,6 @@ func (req *runRequest) addOptions(q url.Values, env *envelope) error {
 		if err != nil {
 			return &repro.ParamError{Param: "top", Reason: fmt.Sprintf("not an integer: %q", v)}
 		}
-		req.topSet = true
 		req.opts = append(req.opts, repro.WithTopK(k))
 	}
 	if v := q.Get("frac"); v != "" {
@@ -791,70 +773,130 @@ func (req *runRequest) addOptions(q url.Values, env *envelope) error {
 		if err != nil {
 			return &repro.ParamError{Param: "frac", Reason: fmt.Sprintf("not a number: %q", v)}
 		}
-		req.topSet = true
 		req.opts = append(req.opts, repro.WithTopFraction(f))
 	}
 	return nil
 }
 
-// cachedScores resolves one method's significance table for a parsed
-// body through the score cache with single-flight de-duplication:
-// identical bodies with the same method score once, no matter how the
-// method's parameters differ (they only move thresholds). Both
-// /backbone and /evaluate ride this, so the two endpoints share one
-// table per (body, method). The returned hit flag reports whether this
-// call skipped scoring.
-func (s *server) cachedScores(ctx context.Context, gkey graphKey, g *repro.Graph, method string) (*repro.Scores, bool, error) {
-	e, hit, err := s.scores.Do(ctx, scoreKey{g: gkey, method: method}, func() (scoreEntry, int64, error) {
-		if err := s.scoreGate(ctx); err != nil {
-			return scoreEntry{}, 0, err
-		}
-		sc, err := repro.ScoreContext(ctx, g, repro.WithMethod(method))
-		if err != nil {
-			return scoreEntry{}, 0, err
-		}
-		return scoreEntry{table: sc}, scoresCost(sc), nil
-	})
-	return e.table, hit, err
+// cacheSources are the score cache's two sources for the request's
+// parsed body, with single-flight de-duplication. The score source
+// keys a method's table by (body, method): identical bodies with the
+// same method score once, no matter how the method's parameters differ
+// (they only move thresholds). The extract source keys the backbone a
+// method's Extractor produces (mst; ds at its natural size) under the
+// same key with extract set, charged at its graphCost under the same
+// byte budget and counters. /backbone, /score and /evaluate all read
+// through them, so the endpoints share one table and one extraction per
+// (body, method); Method.BackboneCtx decides which one a cut reads. The
+// hit flags report whether a call computed nothing.
+func (s *server) cacheSources(c *call) (repro.ScoreSource, repro.ExtractSource) {
+	score := func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
+		e, hit, err := s.scores.Do(ctx, scoreKey{g: c.key, method: m.Name}, func() (scoreEntry, int64, error) {
+			if err := s.scoreGate(ctx); err != nil {
+				return scoreEntry{}, 0, err
+			}
+			sc, err := repro.ScoreContext(ctx, c.g, repro.WithMethod(m.Name))
+			if err != nil {
+				return scoreEntry{}, 0, err
+			}
+			return scoreEntry{table: sc}, scoresCost(sc), nil
+		})
+		return e.table, hit, err
+	}
+	extract := func(ctx context.Context, m *repro.Method) (repro.Selection, bool, error) {
+		e, hit, err := s.scores.Do(ctx, scoreKey{g: c.key, method: m.Name, extract: true}, func() (scoreEntry, int64, error) {
+			if err := s.scoreGate(ctx); err != nil {
+				return scoreEntry{}, 0, err
+			}
+			sel, _, err := m.BackboneCtx(ctx, c.g, nil, -1, nil, nil)
+			if err != nil {
+				return scoreEntry{}, 0, err
+			}
+			return scoreEntry{backbone: sel}, graphCost(sel.G), nil
+		})
+		return e.backbone, hit, err
+	}
+	return score, extract
 }
 
-// cachedExtract is cachedScores for a method /evaluate grades from its
-// extractor (eval.NeedsTable false): the extracted backbone shares the
-// score cache's byte budget, single flight and counters, charged at its
-// graphCost. The hit flag reports whether this call extracted nothing.
-func (s *server) cachedExtract(ctx context.Context, gkey graphKey, g *repro.Graph, m *repro.Method) (repro.Selection, bool, error) {
-	e, hit, err := s.scores.Do(ctx, scoreKey{g: gkey, method: m.Name, extract: true}, func() (scoreEntry, int64, error) {
-		if err := s.scoreGate(ctx); err != nil {
-			return scoreEntry{}, 0, err
+// tally counts what one request's sources were asked for: the reply is
+// a cache hit when the pipeline read something and no read computed
+// anything.
+type tally struct{ reads, hits atomic.Int32 }
+
+// sources hands a request's score source, and its extract source when
+// it has one, to the pipeline as options, counting every read into t.
+// Every endpoint's reads go through here.
+func (t *tally) sources(score repro.ScoreSource, extract repro.ExtractSource) []repro.Option {
+	count := func(hit bool) {
+		t.reads.Add(1)
+		if hit {
+			t.hits.Add(1)
 		}
-		sel, _, err := m.BackboneCtx(ctx, g, nil, -1, nil)
-		if err != nil {
-			return scoreEntry{}, 0, err
+	}
+	opts := []repro.Option{repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
+		sc, hit, err := score(ctx, m)
+		count(hit)
+		return sc, hit, err
+	})}
+	if extract != nil {
+		opts = append(opts, repro.WithExtractSource(func(ctx context.Context, m *repro.Method) (repro.Selection, bool, error) {
+			sel, hit, err := extract(ctx, m)
+			count(hit)
+			return sel, hit, err
+		}))
+	}
+	return opts
+}
+
+func (t *tally) header() string {
+	if n := t.reads.Load(); n > 0 && t.hits.Load() == n {
+		return "hit"
+	}
+	return "miss"
+}
+
+// cachedLane is the one admission rule for work on a posted body: the
+// fast lane, under the cost key "cached", when every entry the
+// request's cuts read is in the score cache, else the cold lane under
+// coldKey. Which entry a cut reads is Method.BackboneCtx's choice — the
+// method's table when NeedsTable at the cut's rankedness, else its
+// extraction — so this checks the very scoreKey the cache sources will
+// read. Envelope bodies classify cold: their method, pruning and
+// directedness live in the undecoded JSON.
+func (s *server) cachedLane(c *call, methods []*repro.Method, ranked func(*repro.Method) bool, coldKey string) (admission.Lane, string) {
+	if c.key.mode == "envelope" || len(methods) == 0 {
+		return admission.Cold, coldKey
+	}
+	for _, m := range methods {
+		if !s.scores.Contains(scoreKey{g: c.key, method: m.Name, extract: !m.NeedsTable(ranked(m))}) {
+			return admission.Cold, coldKey
 		}
-		return scoreEntry{backbone: sel}, graphCost(sel.G), nil
-	})
-	return e.backbone, hit, err
+	}
+	return admission.Fast, "cached"
 }
 
 // classifyRun picks the admission lane and latency cost key for a
-// /backbone or /score request before any slot is held. Fast lane means
-// the method's significance table is already cached for this exact
-// body — serving is pruning plus serialization, no scoring — so such
-// requests are never starved behind cold scoring work. (An mmap-served
-// -graphdir body additionally skips parsing, but its first-touch
-// scoring is still cold work; once its table is cached it rides the
-// fast lane like any other hit.) Envelope bodies classify
-// conservatively: their method and directedness live in the undecoded
-// JSON, so only the query's count.
-func (s *server) classifyRun(c *call) (admission.Lane, string) {
-	method := c.q.Get("method")
-	if method == "" {
-		method = "nc"
+// /backbone or /score request before any slot is held: fast when the
+// cut's table or extraction is already cached for this exact body —
+// serving is pruning plus serialization — so such requests are never
+// starved behind cold scoring work. A score reply reads the table, as a
+// ranked (top/frac) cut does. (An mmap-served -graphdir body
+// additionally skips parsing, but its first-touch scoring is still cold
+// work.)
+func (s *server) classifyRun(scoreOnly bool) func(*call) (admission.Lane, string) {
+	return func(c *call) (admission.Lane, string) {
+		name := c.q.Get("method")
+		if name == "" {
+			name = "nc"
+		}
+		m, err := repro.LookupMethod(name)
+		if err != nil {
+			return admission.Cold, name
+		}
+		ranked := scoreOnly || c.q.Get("top") != "" || c.q.Get("frac") != ""
+		return s.cachedLane(c, []*repro.Method{m}, func(*repro.Method) bool { return ranked }, name)
 	}
-	if s.scores.Contains(scoreKey{g: c.key, method: method}) {
-		return admission.Fast, "cached"
-	}
-	return admission.Cold, method
 }
 
 // evalMethods is /evaluate's method narrowing from the query: ?methods=
@@ -876,10 +918,8 @@ func evalMethods(q url.Values) (names []string, ok bool) {
 }
 
 // classifyEvaluate is classifyRun for /evaluate: fast lane only when
-// every entry the comparison reads is cached — each selected method's
-// table or, where eval.NeedsTable says it is graded from its extractor,
-// its extraction — i.e. the whole comparison runs without scoring or
-// extracting anything.
+// every entry the size-matched comparison reads is cached, i.e. it runs
+// without scoring or extracting anything.
 func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
 	var methods []*repro.Method
 	names, ok := evalMethods(c.q)
@@ -893,116 +933,69 @@ func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
 		}
 		methods = append(methods, m)
 	}
-	if c.key.mode == "envelope" || len(methods) == 0 {
-		return admission.Cold, "evaluate"
-	}
-	for _, m := range methods {
-		if !s.scores.Contains(scoreKey{g: c.key, method: m.Name, extract: !eval.NeedsTable(m, true)}) {
-			return admission.Cold, "evaluate"
-		}
-	}
-	return admission.Fast, "cached"
+	return s.cachedLane(c, methods, func(m *repro.Method) bool { return eval.Ranked(m, true) }, "evaluate")
 }
 
-// tableSource resolves the selected method's table for the request's
-// graph: the content-addressed score cache for stateless requests, the
-// session's incremental tables for session reads. hit reports that
-// nothing was scored.
-type tableSource func(m *repro.Method) (sc *repro.Scores, hit bool, err error)
-
-// table is the first half of the execute step /backbone, /score and
-// the session reads share. It returns the method's table when one is
-// worth having (nil when the method extracts directly) and whether
-// serving it scored nothing. A table is wanted by a score response or
-// by the cut itself (Method.NeedsTable: top/frac, or the method's own
-// Cut rule); a scorer without Cut (ds) otherwise runs its Extractor.
-// An extract-only method cannot answer a score request; the pipeline
-// names the typed error.
-func (s *server) table(c *call, req *runRequest, scoreOnly bool, src tableSource) (*repro.Scores, bool, error) {
-	if scoreOnly && req.method.CanScore() || req.method.NeedsTable(req.topSet) {
-		return src(req.method)
-	}
-	if !scoreOnly {
-		return nil, false, nil
-	}
-	if err := s.scoreGate(c.ctx); err != nil {
-		return nil, false, err
-	}
-	if _, err := repro.ScoreContext(c.ctx, req.g, req.opts...); err != nil {
-		return nil, false, err
-	}
-	return nil, false, fmt.Errorf("method %q produced no table", req.method.Name)
-}
-
-// respond is the second half: a score request writes the table, a
-// backbone request cuts it (or extracts) and writes the kept edges
-// straight off the input graph, never building the backbone as a graph.
-func (s *server) respond(c *call, req *runRequest, scoreOnly bool, scores *repro.Scores) error {
+// run is the execute step /backbone, /score and the session reads
+// share: the pipeline scores or cuts req.g reading the request's
+// sources, and the reply is written straight off the input graph, never
+// building the backbone as a graph. headers, when set, adds the
+// caller's own reply headers once the sources have been read.
+func (s *server) run(c *call, req *runRequest, scoreOnly bool, score repro.ScoreSource, extract repro.ExtractSource, headers func(http.Header)) error {
+	var t tally
+	opts := append(req.opts, t.sources(score, extract)...)
+	var (
+		scores *repro.Scores
+		res    *repro.Result
+		sel    repro.Selection
+		err    error
+	)
 	if scoreOnly {
-		c.outcome = admission.OK
-		return s.writeScores(c.w, req, scores)
+		scores, err = repro.ScoreContext(c.ctx, req.g, opts...)
+	} else if err = s.scoreGate(c.ctx); err == nil {
+		res, sel, err = repro.SelectContext(c.ctx, req.g, opts...)
 	}
-	if err := s.scoreGate(c.ctx); err != nil {
-		return err
-	}
-	opts := req.opts
-	if scores != nil {
-		opts = append(opts, repro.WithScores(scores))
-	}
-	res, sel, err := repro.SelectContext(c.ctx, req.g, opts...)
 	if err != nil {
 		return err
 	}
+	c.w.Header().Set("X-Backbone-Cache", t.header())
+	if headers != nil {
+		headers(c.w.Header())
+	}
 	c.outcome = admission.OK
+	if scoreOnly {
+		return s.writeScores(c.w, req, scores)
+	}
 	return s.writeBackbone(c.w, req, res, sel)
 }
 
-func cacheHeader(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
-// runStateless executes POST /backbone or /score on the resolved body:
-// score through the score cache, prune, respond. X-Backbone-Cache
-// reports "hit" when a cached table let the request skip both parsing
-// and scoring, else "miss".
+// runStateless executes POST /backbone or /score on the resolved body
+// through the score cache. X-Backbone-Cache reports "hit" when a cached
+// table or extraction let the request skip both parsing and computing,
+// else "miss".
 func (s *server) runStateless(scoreOnly bool) func(*call) error {
 	return func(c *call) error {
 		outFormat := c.key.mode
 		if outFormat == "sniff" || outFormat == "envelope" {
 			outFormat = ""
 		}
-		req, err := parseRun(c, outFormat, scoreOnly)
+		req, err := parseRun(c, outFormat)
 		if err != nil {
 			return err
 		}
 		req.g = c.g
-		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method) (*repro.Scores, bool, error) {
-			return s.cachedScores(c.ctx, c.key, c.g, m.Name)
-		})
-		if err != nil {
-			return err
-		}
-		if scores != nil {
-			// A cached table references its own (identical-content)
-			// graph; pruning and coverage must use that same value.
-			req.g = scores.G
-		}
-		c.w.Header().Set("X-Backbone-Cache", cacheHeader(hit))
-		return s.respond(c, req, scoreOnly, scores)
+		score, extract := s.cacheSources(c)
+		return s.run(c, req, scoreOnly, score, extract, nil)
 	}
 }
 
 // evaluate executes POST /evaluate: one registry-wide, size-matched
 // method comparison of the body's network as a JSON report. Every
 // method's table, and every extraction a fixed-size method is graded
-// from, resolves through the shared score cache, so tables computed by
-// earlier /backbone, /score or /evaluate calls on the same body are
-// reused, a repeat comparison extracts nothing (X-Backbone-Cache: hit
-// when it computed neither), and concurrent identical evaluations
-// coalesce per method.
+// from, resolves through the score cache's sources, so tables computed
+// by earlier /backbone, /score or /evaluate calls on the same body are
+// reused, a repeat comparison computes nothing (X-Backbone-Cache: hit),
+// and concurrent identical evaluations coalesce per method.
 func (s *server) evaluate(c *call) error {
 	// Method narrowing: the query's, then the envelope's method field;
 	// with none of them every registered method is compared. Name
@@ -1024,34 +1017,15 @@ func (s *server) evaluate(c *call) error {
 	if err := req.addOptions(c.q, c.env); err != nil {
 		return err
 	}
-	// Both sources count their reads and cache hits: the reply is a
-	// hit when the comparison read something and computed nothing.
-	var reads, hits atomic.Int32
-	count := func(hit bool) {
-		reads.Add(1)
-		if hit {
-			hits.Add(1)
-		}
-	}
-	req.opts = append(req.opts,
-		repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-			sc, hit, err := s.cachedScores(ctx, c.key, c.g, m.Name)
-			count(hit)
-			return sc, hit, err
-		}),
-		repro.WithExtractSource(func(ctx context.Context, m *repro.Method) (repro.Selection, error) {
-			sel, hit, err := s.cachedExtract(ctx, c.key, c.g, m)
-			count(hit)
-			return sel, err
-		}))
-	rep, err := repro.CompareContext(c.ctx, c.g, req.opts...)
+	var t tally
+	rep, err := repro.CompareContext(c.ctx, c.g, append(req.opts, t.sources(s.cacheSources(c))...)...)
 	if err != nil {
 		return err
 	}
 	c.outcome = admission.OK
 	s.evalCacheSkips.Add(uint64(rep.CacheHits))
 
-	c.w.Header().Set("X-Backbone-Cache", cacheHeader(reads.Load() > 0 && hits.Load() == reads.Load()))
+	c.w.Header().Set("X-Backbone-Cache", t.header())
 	c.w.Header().Set("X-Backbone-Eval-Methods", strconv.Itoa(len(rep.Methods)))
 	c.w.Header().Set("X-Backbone-Eval-Scored", strconv.Itoa(rep.ScoredMethods))
 	c.w.Header().Set("X-Backbone-Eval-Cached", strconv.Itoa(rep.CacheHits))

@@ -812,6 +812,53 @@ func TestEvaluateLanes(t *testing.T) {
 	}
 }
 
+// TestBackboneLanes: /backbone admits a request on the fast lane
+// exactly when the entry its cut reads — ds's extraction, not its
+// table; mst's extraction, whichever endpoint cached it — is in the
+// score cache, and answers hit exactly then.
+func TestBackboneLanes(t *testing.T) {
+	s, ts := newTestServer(t, 2, 10*time.Second)
+	bodies := [][]byte{encodeGraph(t, testGraph(t, 400), "csv").Bytes(), encodeGraph(t, testGraph(t, 300), "csv").Bytes()}
+	post := func(body []byte, url string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+url, "text/csv", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, out)
+		}
+		return resp.Header.Get("X-Backbone-Cache")
+	}
+	for _, c := range []struct {
+		name      string
+		body      int
+		warm, url string
+		fast      uint64
+		cold      uint64
+		cache     string
+	}{
+		{"ds after /score", 0, "/score?method=ds", "/backbone?method=ds", 0, 1, "miss"},
+		{"ds repeat", 0, "", "/backbone?method=ds", 1, 0, "hit"},
+		{"mst repeat", 0, "/backbone?method=mst", "/backbone?method=mst", 1, 0, "hit"},
+		{"mst after /evaluate", 1, "/evaluate?methods=mst", "/backbone?method=mst", 1, 0, "hit"},
+	} {
+		if c.warm != "" {
+			post(bodies[c.body], c.warm)
+		}
+		before := s.limiter.Stats()
+		cache := post(bodies[c.body], c.url)
+		after := s.limiter.Stats()
+		fast, cold := after.Fast.Admitted-before.Fast.Admitted, after.Cold.Admitted-before.Cold.Admitted
+		if fast != c.fast || cold != c.cold || cache != c.cache {
+			t.Errorf("%s: fast +%d, cold +%d, X-Backbone-Cache %q; want fast +%d, cold +%d, %q",
+				c.name, fast, cold, cache, c.fast, c.cold, c.cache)
+		}
+	}
+}
+
 // TestEvaluateExtractOnlyCache: an extract-only comparison is a cache
 // miss the first time and a hit after, its extraction is charged to the
 // score cache, and the table counters stay at zero.

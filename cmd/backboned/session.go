@@ -329,7 +329,7 @@ func (s *server) classifySessionRead(c *call) (admission.Lane, string) {
 // X-Backbone-Rescored reports the rows this read re-scored.
 func (s *server) readSession(scoreOnly bool) func(*call) error {
 	return func(c *call) error {
-		req, err := parseRun(c, "", scoreOnly)
+		req, err := parseRun(c, "")
 		if err != nil {
 			return err
 		}
@@ -346,18 +346,15 @@ func (s *server) readSession(scoreOnly bool) func(*call) error {
 		}
 		req.g = g
 		rescored := 0
-		scores, hit, err := s.table(c, req, scoreOnly, func(m *repro.Method) (*repro.Scores, bool, error) {
-			sc, n, err := s.sessionScores(c.ctx, sess, g, m)
+		score := func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
+			sc, n, err := s.sessionScores(ctx, sess, g, m)
 			rescored = n
 			return sc, n == 0, err
-		})
-		if err != nil {
-			return err
 		}
-		c.w.Header().Set("X-Backbone-Cache", cacheHeader(hit))
-		c.w.Header().Set("X-Backbone-Session", c.id)
-		c.w.Header().Set("X-Backbone-Rescored", strconv.Itoa(rescored))
-		return s.respond(c, req, scoreOnly, scores)
+		return s.run(c, req, scoreOnly, score, nil, func(h http.Header) {
+			h.Set("X-Backbone-Session", c.id)
+			h.Set("X-Backbone-Rescored", strconv.Itoa(rescored))
+		})
 	}
 }
 

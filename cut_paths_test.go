@@ -17,12 +17,14 @@ import (
 // from every entry point that turns a method into "the backbone of G
 // under m": Backbone at the native cut and with WithTopK, BackboneAll,
 // the experiment harness's exp.BackboneWithShare, and the evaluation
-// engine (Evaluate at the native cut, Compare size-matched) must agree
+// engine (Evaluate at the native cut, Compare size-matched) and
+// Backbone fed by cold and warm score and extract sources must agree
 // byte for byte, for every registered method, on a graph above the
 // 4096-edge cutoff (so ranged scorers run on every worker). It also
 // pins the documented split — BackboneAll ranks ds like any scorer,
 // Compare keeps it at its natural size — and that no path asks for a
-// score table when the backbone comes from an extractor.
+// score table when the backbone comes from an extractor, nor for an
+// extraction when it is cut from a table.
 func TestCutPathsBitIdentical(t *testing.T) {
 	// 4997 edges: the 10% share is 499.7 edges, so every size-matched
 	// path must round it to the same k = 500.
@@ -73,8 +75,9 @@ func TestCutPathsBitIdentical(t *testing.T) {
 		// What a size-matched comparison cuts: top-k for rankable
 		// methods, the natural backbone for fixed-size ones.
 		sized := nat
+		var top *Result
 		if m.CanScore() {
-			top, err := Backbone(g, WithMethod(m.Name), WithTopK(k))
+			top, err = Backbone(g, WithMethod(m.Name), WithTopK(k))
 			if err != nil {
 				t.Fatalf("%s top-k: %v", m.Name, err)
 			}
@@ -112,6 +115,31 @@ func TestCutPathsBitIdentical(t *testing.T) {
 			}
 		}
 
+		// Source-fed cuts, cold then warm, give the same bytes; each reads
+		// the table exactly where a table is cut and the extraction
+		// exactly where the extractor runs.
+		srcs := &countingSources{g: g}
+		for _, pass := range []string{"cold", "warm"} {
+			fed := func(what string, want *Graph, table bool, opts ...Option) {
+				t.Helper()
+				scored, extracted := srcs.scored, srcs.extracted
+				res, err := Backbone(g, append(opts, WithMethod(m.Name), WithScoreSource(srcs.score), WithExtractSource(srcs.extract))...)
+				if err != nil {
+					t.Fatalf("%s %s source-fed %s: %v", m.Name, pass, what, err)
+				}
+				requireSameBackbone(t, m.Name+" "+pass+" source-fed "+what, res.Backbone, want)
+				scored, extracted = srcs.scored-scored, srcs.extracted-extracted
+				if table && (scored != 1 || extracted != 0) || !table && (scored != 0 || extracted != 1) {
+					t.Errorf("%s %s source-fed %s: %d table and %d extraction reads; the cut reads a table: %v",
+						m.Name, pass, what, scored, extracted, table)
+				}
+			}
+			fed("native", nat.Backbone, m.NeedsTable(false))
+			if top != nil {
+				fed("top-k", top.Backbone, true, WithTopK(k))
+			}
+		}
+
 		// No table on an extractor path, from the engine or directly.
 		if !m.NeedsTable(false) {
 			if asked[m.Name] != 0 {
@@ -121,7 +149,7 @@ func TestCutPathsBitIdentical(t *testing.T) {
 				t.Errorf("%s: table requested on its extractor path", m.Name)
 				return nil, nil
 			}
-			if _, _, err := m.BackboneCtx(ctx, g, m.Defaults(), -1, noTable); err != nil {
+			if _, _, err := m.BackboneCtx(ctx, g, m.Defaults(), -1, noTable, nil); err != nil {
 				t.Fatalf("%s extract: %v", m.Name, err)
 			}
 		}
@@ -129,6 +157,49 @@ func TestCutPathsBitIdentical(t *testing.T) {
 	if !sawDS {
 		t.Fatal("ds is not registered")
 	}
+}
+
+// countingSources is a score and an extract source over g that memoize
+// tables and extractions by method, as the backboned daemon's score
+// cache does, and count the reads of each. Backbone calls it from one
+// goroutine.
+type countingSources struct {
+	g                 *Graph
+	tables            map[string]*Scores
+	extractions       map[string]Selection
+	scored, extracted int
+}
+
+func (c *countingSources) score(ctx context.Context, m *Method) (*Scores, bool, error) {
+	c.scored++
+	if s, ok := c.tables[m.Name]; ok {
+		return s, true, nil
+	}
+	s, err := m.ScoreCtx(ctx, c.g, filter.ScoreOpts{})
+	if err != nil {
+		return nil, false, err
+	}
+	if c.tables == nil {
+		c.tables = map[string]*Scores{}
+	}
+	c.tables[m.Name] = s
+	return s, false, nil
+}
+
+func (c *countingSources) extract(ctx context.Context, m *Method) (Selection, bool, error) {
+	c.extracted++
+	if sel, ok := c.extractions[m.Name]; ok {
+		return sel, true, nil
+	}
+	sel, _, err := m.BackboneCtx(ctx, c.g, nil, -1, nil, nil)
+	if err != nil {
+		return Selection{}, false, err
+	}
+	if c.extractions == nil {
+		c.extractions = map[string]Selection{}
+	}
+	c.extractions[m.Name] = sel
+	return sel, false, nil
 }
 
 // requireSameBackbone fails unless got and want encode to the same bytes.

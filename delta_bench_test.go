@@ -123,20 +123,24 @@ func BenchmarkApplyDeltaIncremental(b *testing.B) {
 }
 
 // BenchmarkApplyDeltaBatch measures one batch of updates on a warm
-// 1M-edge session: apply, materialize and rescore on top of the
-// previous table. 125k updates is the largest batch below the delta's
-// m/8 cutover, so 1k and 125k take the incremental materialization and
-// 250k and 1M the full merge. Iterations alternate two weight sets over
-// the same pairs, so every iteration re-weights each touched edge.
+// session: apply, materialize and rescore on top of the previous table.
+// Each graph size gets one batch on each side of the delta's m/256
+// materialization cutover: at 100k edges 64 updates take the
+// incremental path and 1k the full merge, at 1M edges 1k and 8k.
+// Iterations alternate two weight sets over the same pairs, so every
+// iteration re-weights each touched edge.
 func BenchmarkApplyDeltaBatch(b *testing.B) {
 	sizes := []struct {
-		name string
-		n    int
-	}{{"1k", 1_000}, {"125k", 125_000}, {"250k", 250_000}, {"1M", 1_000_000}}
+		name     string
+		edges, n int
+	}{
+		{"m=100k/batch=64", 100_000, 64}, {"m=100k/batch=1k", 100_000, 1_000},
+		{"m=1M/batch=1k", 1_000_000, 1_000}, {"m=1M/batch=8k", 1_000_000, 8_000},
+	}
 	for _, method := range []string{"df", "nt"} {
 		for _, size := range sizes {
-			b.Run("method="+method+"/batch="+size.name, func(b *testing.B) {
-				base := benchDeltaGraph(b, 1_000_000)
+			b.Run("method="+method+"/"+size.name, func(b *testing.B) {
+				base := benchDeltaGraph(b, size.edges)
 				batches := [2][]Update{benchUpdates(base, size.n), benchUpdates(base, size.n)}
 				for i := range batches[1] {
 					batches[1][i].Weight = float64(int(batches[0][i].Weight)%90 + 1)

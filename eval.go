@@ -48,9 +48,9 @@ type Designer = eval.Designer
 type ScoreSource = eval.ScoreSource
 
 // ExtractSource supplies a (possibly cached) extracted backbone for a
-// method an evaluation grades without a significance table (mst, and
-// ds at its natural size). The backboned daemon plugs its
-// content-addressed score cache in here too.
+// method whose cut reads no significance table (mst, and ds at its
+// natural size), returning whether the call skipped extracting. The
+// backboned daemon plugs its content-addressed score cache in here too.
 type ExtractSource = eval.ExtractSource
 
 // WithMethods narrows an evaluation to the named methods (default:
@@ -104,21 +104,26 @@ func WithQualityDesign(d Designer, dataset string) Option {
 }
 
 // WithScoreSource replaces direct scoring with the given source — e.g.
-// a content-addressed cache — so repeated evaluations of the same graph
-// skip scoring entirely. The source is only consulted for methods that
-// need a significance table.
+// a content-addressed cache — so repeated runs on the same graph skip
+// scoring entirely. Backbone, SelectContext, BackboneAll, Score and the
+// evaluations all read it, and only when the cut (or the score reply)
+// reads a significance table. The table may belong to a
+// content-identical graph value rather than the run's own: the backbone
+// is selected over the table's graph. Mutually exclusive with
+// WithScores and WithDirtyScores.
 func WithScoreSource(src ScoreSource) Option {
-	return func(c *config) { c.evalSource = src }
+	return func(c *config) { c.scoreSource = src }
 }
 
 // WithExtractSource replaces running a method's extractor with the
-// given source, so repeated evaluations of the same graph extract
-// nothing either. The source is consulted for exactly the methods
-// WithScoreSource is not: those graded at their extractor's fixed-size
-// backbone. It may key its entries by graph and method alone, since an
-// extractor takes no parameters.
+// given source, so repeated runs on the same graph extract nothing
+// either. It is consulted for exactly the cuts WithScoreSource is not:
+// those that take the extractor's fixed-size backbone (mst; ds without
+// top-k), as Method.BackboneCtx decides. It may key its entries by
+// graph and method alone, since an extractor takes no parameters.
+// Mutually exclusive with WithScores and WithDirtyScores.
 func WithExtractSource(src ExtractSource) Option {
-	return func(c *config) { c.evalExtract = src }
+	return func(c *config) { c.extractSource = src }
 }
 
 // WithEvalProgress registers a per-method scoring progress callback; fn
@@ -175,8 +180,8 @@ func evalConfig(opts []Option) (eval.Config, error) {
 		Truth:         c.evalTruth,
 		Designer:      c.evalDesigner,
 		Dataset:       c.evalDataset,
-		Source:        c.evalSource,
-		Extract:       c.evalExtract,
+		Source:        c.scoreSource,
+		Extract:       c.extractSource,
 		Progress:      c.evalProgress,
 	}
 	if cfg.Progress == nil && c.progress != nil {

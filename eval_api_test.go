@@ -75,12 +75,6 @@ func TestEvalOnlyOptionsRejectedByPipeline(t *testing.T) {
 		"WithMethods":      WithMethods("nc"),
 		"WithNextSnapshot": WithNextSnapshot(g),
 		"WithGroundTruth":  WithGroundTruth(g),
-		"WithScoreSource": WithScoreSource(func(context.Context, *Method) (*Scores, bool, error) {
-			return nil, false, nil
-		}),
-		"WithExtractSource": WithExtractSource(func(context.Context, *Method) (Selection, error) {
-			return Selection{}, nil
-		}),
 	} {
 		var pe *ParamError
 		if _, err := Backbone(g, opt); !errors.As(err, &pe) {
@@ -98,6 +92,19 @@ func TestEvalOnlyOptionsRejectedByPipeline(t *testing.T) {
 	}
 	if _, err := Evaluate(g, WithScores(s)); err == nil {
 		t.Error("Evaluate accepted WithScores")
+	}
+	// The sources are not evaluation-only, but a run takes its table
+	// from one supplier: WithScores next to a source is a ParamError.
+	src := WithScoreSource(func(context.Context, *Method) (*Scores, bool, error) {
+		t.Error("score source read beside WithScores")
+		return s, true, nil
+	})
+	var pe *ParamError
+	if _, err := Backbone(g, WithScores(s), src); !errors.As(err, &pe) {
+		t.Errorf("Backbone with WithScores and WithScoreSource: err = %v, want ParamError", err)
+	}
+	if _, err := Score(g, WithScores(s), src); !errors.As(err, &pe) {
+		t.Errorf("Score with WithScores and WithScoreSource: err = %v, want ParamError", err)
 	}
 }
 

@@ -23,7 +23,7 @@ func cut(t *testing.T, name string, g *graph.Graph, overrides filter.Params) *gr
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, _, err := m.BackboneCtx(context.Background(), g, p, -1, nil)
+	sel, _, err := m.BackboneCtx(context.Background(), g, p, -1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

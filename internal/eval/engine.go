@@ -55,13 +55,14 @@ func (f *Float) UnmarshalJSON(data []byte) error {
 type ScoreSource func(ctx context.Context, m *filter.Method) (*filter.Scores, bool, error)
 
 // ExtractSource supplies a (possibly cached) backbone for a method
-// graded without a table (NeedsTable false: mst, and ds at its natural
-// size), as the selection of every edge of the extracted graph. A cache
-// may key it by graph and method alone, without parameters, only
-// because Extractor.Extract(g) takes none. The backboned daemon plugs
-// its score cache in here so a cache-hit comparison extracts nothing.
-// Like ScoreSource it must be safe for concurrent calls.
-type ExtractSource func(ctx context.Context, m *filter.Method) (graph.Selection, error)
+// graded without a table (mst, and ds at its natural size), as the
+// selection of every edge of the extracted graph, returning whether the
+// call skipped extracting. A cache may key it by graph and method
+// alone, without parameters, only because Extractor.Extract(g) takes
+// none. The backboned daemon plugs its score cache in here so a
+// cache-hit comparison extracts nothing. Like ScoreSource it must be
+// safe for concurrent calls.
+type ExtractSource func(ctx context.Context, m *filter.Method) (graph.Selection, bool, error)
 
 // Config parameterizes one evaluation run. The zero value evaluates
 // every method of the default registry with only the always-available
@@ -187,19 +188,14 @@ func Compare(ctx context.Context, g *graph.Graph, cfg Config) (*Report, error) {
 	return run(ctx, g, cfg, true)
 }
 
-// NeedsTable reports whether grading m reads a significance table (from
-// Config.Source) rather than an extracted backbone (from
-// Config.Extract). A Compare run (sizeMatched) cuts every rankable
-// method to the comparison size; fixed-size and extract-only methods,
-// and every method in an Evaluate run, take their natural cut. Callers
-// that predict which cached entries a run reads (the daemon's
-// admission) ask this same predicate.
-func NeedsTable(m *filter.Method, sizeMatched bool) bool {
-	return m.NeedsTable(ranked(m, sizeMatched))
-}
-
-// ranked reports whether a run cuts m to the comparison size.
-func ranked(m *filter.Method, sizeMatched bool) bool {
+// Ranked reports whether a run cuts m to the comparison size: a Compare
+// run (sizeMatched) ranks every rankable method, while fixed-size and
+// extract-only methods, and every method in an Evaluate run, take their
+// natural cut. Method.BackboneCtx then decides from that alone whether
+// grading m reads a table (Config.Source) or an extraction
+// (Config.Extract); a caller that predicts which cached entries a run
+// reads (the daemon's admission) asks m.NeedsTable(Ranked(m, true)).
+func Ranked(m *filter.Method, sizeMatched bool) bool {
 	return sizeMatched && m.CanScore() && !m.FixedSize
 }
 
@@ -362,15 +358,17 @@ func evaluateMethod(ctx context.Context, g *graph.Graph, m *filter.Method, cfg C
 	// keep their natural output regardless of the comparison size — the
 	// paper plots them as single points.
 	k := -1
-	if ranked(m, sizeMatched) {
+	if Ranked(m, sizeMatched) {
 		k = target
 	}
-	var sel graph.Selection
-	if cfg.Extract != nil && !NeedsTable(m, sizeMatched) {
-		sel, err = cfg.Extract(ctx, m)
-	} else {
-		sel, _, err = m.BackboneCtx(ctx, g, params, k, score)
+	var extract func() (graph.Selection, error)
+	if cfg.Extract != nil {
+		extract = func() (graph.Selection, error) {
+			sel, _, err := cfg.Extract(ctx, m)
+			return sel, err
+		}
 	}
+	sel, _, err := m.BackboneCtx(ctx, g, params, k, score, extract)
 	if err != nil {
 		me.Err = err.Error()
 		return me

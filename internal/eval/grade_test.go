@@ -60,7 +60,7 @@ func gradeOracle(t *testing.T, g *graph.Graph, cfg Config, sizeMatched, cached b
 			me.scored = true
 			me.ScoreCached = cached
 		}
-		sel, _, err := m.BackboneCtx(ctx, g, params, k, nil)
+		sel, _, err := m.BackboneCtx(ctx, g, params, k, nil, nil)
 		if err != nil {
 			me.Err = err.Error()
 			continue
@@ -132,21 +132,21 @@ func caches(g *graph.Graph) (ScoreSource, ExtractSource) {
 		mu.Unlock()
 		return s, false, nil
 	}
-	extract := func(ctx context.Context, m *filter.Method) (graph.Selection, error) {
+	extract := func(ctx context.Context, m *filter.Method) (graph.Selection, bool, error) {
 		mu.Lock()
 		sel, ok := backbones[m.Name]
 		mu.Unlock()
 		if ok {
-			return sel, nil
+			return sel, true, nil
 		}
-		sel, _, err := m.BackboneCtx(ctx, g, nil, -1, nil)
+		sel, _, err := m.BackboneCtx(ctx, g, nil, -1, nil, nil)
 		if err != nil {
-			return graph.Selection{}, err
+			return graph.Selection{}, false, err
 		}
 		mu.Lock()
 		backbones[m.Name] = sel
 		mu.Unlock()
-		return sel, nil
+		return sel, false, nil
 	}
 	return score, extract
 }

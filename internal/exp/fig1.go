@@ -43,7 +43,7 @@ func Fig1(ctx context.Context, seed int64, n, k int) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel, _, err := nc.BackboneCtx(ctx, g, filter.Params{"delta": 2.32}, -1, nil)
+	sel, _, err := nc.BackboneCtx(ctx, g, filter.Params{"delta": 2.32}, -1, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func BackboneWithShare(ctx context.Context, m *filter.Method, g *graph.Graph, sh
 	if m.CanScore() && !m.FixedSize {
 		k = int(share*float64(g.NumEdges()) + 0.5)
 	}
-	sel, _, err := m.BackboneCtx(ctx, g, m.Defaults(), k, nil)
+	sel, _, err := m.BackboneCtx(ctx, g, m.Defaults(), k, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -204,18 +204,21 @@ func (m *Method) NeedsTable(ranked bool) bool {
 	return m.Scorer != nil && (ranked || m.Cut != nil)
 }
 
-// BackboneCtx is the one cut every entry point shares: with k ≥ 0 it
-// keeps the k top-ranked rows, with k < 0 it applies Cut(p), and a
-// method without a Cut runs its Extractor instead. p holds resolved
-// parameters (see Resolve). table supplies the Scores table when
-// NeedsTable reports one is cut — a cache, a precomputed or an
-// incrementally re-scored table; nil means ScoreCtx. The backbone comes
-// back as a selection over the table's graph — which is g, or its
-// undirected view for methods that symmetrize directed input (hss) —
+// BackboneCtx is the one cut every entry point shares, and the one
+// place that decides what a cut reads: with k ≥ 0 it keeps the k
+// top-ranked rows, with k < 0 it applies Cut(p), and a method without a
+// Cut runs its Extractor instead. p holds resolved parameters (see
+// Resolve). When NeedsTable reports a table is cut, table supplies it —
+// a cache, a precomputed or an incrementally re-scored table; nil means
+// ScoreCtx. Otherwise extract supplies the extracted backbone — a cache
+// of the Extractor's output; nil runs the Extractor. At most one of the
+// two is called. The backbone comes back as a selection over the
+// table's graph — g, its undirected view for methods that symmetrize
+// directed input (hss), or the content-identical graph a cache scored —
 // or, on the extractor path, as every edge of the extracted graph, in
-// which case the returned table is nil. Extract-only methods check ctx
-// before running their (uninterruptible) extractor.
-func (m *Method) BackboneCtx(ctx context.Context, g *graph.Graph, p Params, k int, table func() (*Scores, error)) (graph.Selection, *Scores, error) {
+// which case the returned table is nil. The extractor path checks ctx
+// before extracting, since an Extractor cannot be interrupted.
+func (m *Method) BackboneCtx(ctx context.Context, g *graph.Graph, p Params, k int, table func() (*Scores, error), extract func() (graph.Selection, error)) (graph.Selection, *Scores, error) {
 	if k >= 0 && m.Scorer == nil {
 		return graph.Selection{}, nil, fmt.Errorf("filter: method %q: %w", m.Name, ErrNoScorer)
 	}
@@ -237,6 +240,10 @@ func (m *Method) BackboneCtx(ctx context.Context, g *graph.Graph, p Params, k in
 	}
 	if err := ctx.Err(); err != nil {
 		return graph.Selection{}, nil, err
+	}
+	if extract != nil {
+		sel, err := extract()
+		return sel, nil, err
 	}
 	bb, err := m.Extractor.Extract(g)
 	if err != nil {

@@ -138,7 +138,7 @@ func TestMethodBackbone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, s, err := m.BackboneCtx(ctx, g, p, k, table)
+		sel, s, err := m.BackboneCtx(ctx, g, p, k, table, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestMethodBackbone(t *testing.T) {
 		t.Errorf("supplied table: got %p after %d calls, want %p after 1", s, calls, pre)
 	}
 	tableErr := errors.New("table failed")
-	if _, _, err := m.BackboneCtx(ctx, g, m.Defaults(), 1, func() (*Scores, error) { return nil, tableErr }); !errors.Is(err, tableErr) {
+	if _, _, err := m.BackboneCtx(ctx, g, m.Defaults(), 1, func() (*Scores, error) { return nil, tableErr }, nil); !errors.Is(err, tableErr) {
 		t.Errorf("table error: %v, want %v", err, tableErr)
 	}
 
@@ -182,7 +182,7 @@ func TestMethodBackbone(t *testing.T) {
 	if bb, s = cut(ext, nil, -1, noTable); bb.NumEdges() != g.NumEdges() || s != nil {
 		t.Fatalf("extractor path: %d edges, table %v", bb.NumEdges(), s)
 	}
-	if _, _, err := ext.BackboneCtx(ctx, g, nil, 1, noTable); !errors.Is(err, ErrNoScorer) {
+	if _, _, err := ext.BackboneCtx(ctx, g, nil, 1, noTable, nil); !errors.Is(err, ErrNoScorer) {
 		t.Errorf("top-k on extract-only: %v, want ErrNoScorer", err)
 	}
 	if _, err := ext.Score(g); err == nil {
@@ -190,8 +190,22 @@ func TestMethodBackbone(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, err := ext.BackboneCtx(cancelled, g, nil, -1, noTable); !errors.Is(err, context.Canceled) {
+	if _, _, err := ext.BackboneCtx(cancelled, g, nil, -1, noTable, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled extractor: %v, want context.Canceled", err)
+	}
+
+	// A supplied extraction is the one returned, and only on the
+	// extractor path.
+	one := graph.Selection{G: g, IDs: []int32{0}}
+	if sel, s, err := ext.BackboneCtx(ctx, g, nil, -1, noTable, func() (graph.Selection, error) { return one, nil }); err != nil || sel.Len() != 1 || s != nil {
+		t.Errorf("supplied extraction: %d edges, table %v, %v; want the supplied selection", sel.Len(), s, err)
+	}
+	noExtract := func() (graph.Selection, error) {
+		t.Error("extraction requested on a table path")
+		return graph.Selection{}, nil
+	}
+	if _, _, err := m.BackboneCtx(ctx, g, m.Defaults(), -1, nil, noExtract); err != nil {
+		t.Fatal(err)
 	}
 
 	// A scorer without Cut (ds) extracts natively and ranks on top-k.

@@ -253,12 +253,14 @@ func (d *Delta) Graph() (*Graph, Dirty) {
 
 // materialize builds the merged graph and its RowDiff against the
 // previous materialization. Small batches take the incremental path,
-// which records the diff while patching; batches a sizable fraction of
-// the graph fall back to the full base+patch merge, where per-key
-// binary searches would cost more than one linear pass, and derive the
-// diff in one lockstep walk.
+// which records the diff while patching; a batch of more than m/256
+// updates (plus a floor of 8, so small graphs patch small batches too)
+// falls back to the full base+patch merge, where per-key binary
+// searches would cost more than one linear pass, and derives the diff
+// in one lockstep walk. m/256 is where the two measured to cost the
+// same at 100k and at 1M edges (BenchmarkApplyDeltaBatch).
 func (d *Delta) materialize(dirtyNodes []int32) (*Graph, *RowDiff) {
-	if len(d.sinceLast) == 0 || len(d.sinceLast)*8 > len(d.last.edges)+64 {
+	if len(d.sinceLast) == 0 || len(d.sinceLast)*256 > len(d.last.edges)+256*8 {
 		g := d.materializeFull()
 		return g, diffRows(d.last.edges, g.edges, dirtyNodes, g.NumNodes())
 	}

@@ -43,6 +43,10 @@ type config struct {
 	lenient   bool // skip params the method does not declare (BackboneAll)
 	err       error
 
+	// The sources of a cut's table and extraction; see eval.go.
+	scoreSource   ScoreSource
+	extractSource ExtractSource
+
 	// Evaluation-only options (EvaluateContext / CompareContext); see
 	// eval.go. resolve rejects them on the single-method pipeline.
 	evalMethods     []string
@@ -50,8 +54,6 @@ type config struct {
 	evalTruth       *Graph
 	evalDesigner    Designer
 	evalDataset     string
-	evalSource      ScoreSource
-	evalExtract     ExtractSource
 	evalProgress    func(method string, done, total int)
 	evalConcurrency int
 }
@@ -67,10 +69,6 @@ func (c *config) evalOnly() string {
 		return "WithGroundTruth"
 	case c.evalDesigner != nil:
 		return "WithQualityDesign"
-	case c.evalSource != nil:
-		return "WithScoreSource"
-	case c.evalExtract != nil:
-		return "WithExtractSource"
 	case c.evalProgress != nil:
 		return "WithEvalProgress"
 	case c.evalConcurrency != 0:
@@ -182,7 +180,7 @@ func WithScores(s *Scores) Option {
 // must be dirty.For (enforced), and old, when set, must have been
 // computed for dirty.Base by the same method. When dirty.Exclusive is
 // set the run consumes old, even if it fails. Mutually exclusive with
-// WithScores.
+// WithScores and the sources.
 func WithDirtyScores(old *Scores, dirty Dirty) Option {
 	return func(c *config) { c.dirtyOld, c.dirty, c.dirtySet = old, dirty, true }
 }
@@ -257,6 +255,11 @@ func resolve(opts []Option) (*config, *Method, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	sourced := c.scoreSource != nil || c.extractSource != nil
+	if c.scores != nil && c.dirtySet || (c.scores != nil || c.dirtySet) && sourced {
+		return nil, nil, &ParamError{Method: m.Name, Param: "scores",
+			Reason: "WithScores, WithDirtyScores and the score and extract sources are mutually exclusive"}
+	}
 	if c.lenient {
 		c.params = m.Declared(c.params)
 	}
@@ -309,7 +312,8 @@ func SelectContext(ctx context.Context, g *Graph, opts ...Option) (*Result, Sele
 }
 
 // cut is the run BackboneContext and SelectContext share: resolve the
-// options, score or take the supplied table, and select the kept edges.
+// options, hand Method.BackboneCtx whatever supplies the table or the
+// extraction, and select the kept edges.
 // The coverage fields are left to the caller, which counts the kept
 // nodes on whatever it holds: a built backbone knows its count already.
 func cut(ctx context.Context, g *Graph, opts []Option) (*Result, Selection, error) {
@@ -329,6 +333,18 @@ func cut(ctx context.Context, g *Graph, opts []Option) (*Result, Selection, erro
 		}
 	case c.scores != nil:
 		table = func() (*Scores, error) { return c.scores, nil }
+	case c.scoreSource != nil:
+		table = func() (*Scores, error) {
+			s, _, err := c.scoreSource(ctx, m)
+			return s, err
+		}
+	}
+	var extract func() (Selection, error)
+	if c.extractSource != nil {
+		extract = func() (Selection, error) {
+			sel, _, err := c.extractSource(ctx, m)
+			return sel, err
+		}
 	}
 	k := -1 // the method's own Cut rule
 	switch {
@@ -348,7 +364,7 @@ func cut(ctx context.Context, g *Graph, opts []Option) (*Result, Selection, erro
 		return nil, Selection{}, err
 	}
 	start := time.Now()
-	sel, scores, err := m.BackboneCtx(ctx, g, params, k, table)
+	sel, scores, err := m.BackboneCtx(ctx, g, params, k, table, extract)
 	if err != nil {
 		return nil, Selection{}, err
 	}
@@ -385,10 +401,25 @@ func Score(g *Graph, opts ...Option) (*Scores, error) {
 }
 
 // ScoreContext is Score under a context, with the same cancellation
-// semantics as BackboneContext.
+// semantics as BackboneContext. Every option check runs before any
+// work or source read. Pruning is a *ParamError, since a table is never
+// pruned; an undeclared parameter is one too, because although
+// parameters never change the table, naming one the method lacks is a
+// caller bug.
 func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error) {
-	c, m, err := scoreConfig(opts)
+	c, m, err := resolve(opts)
 	if err != nil {
+		return nil, err
+	}
+	if c.topKSet || c.fracSet {
+		param := "top"
+		if !c.topKSet {
+			param = "frac"
+		}
+		return nil, &ParamError{Method: m.Name, Param: param,
+			Reason: "Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"}
+	}
+	if _, err := m.Resolve(c.params); err != nil {
 		return nil, err
 	}
 	so := filter.ScoreOpts{Progress: c.progress}
@@ -399,6 +430,10 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 		}
 		return table()
 	}
+	if c.scoreSource != nil && m.CanScore() {
+		s, _, err := c.scoreSource(ctx, m)
+		return s, err
+	}
 	return m.ScoreCtx(ctx, g, so)
 }
 
@@ -406,9 +441,6 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 // check the option against g up front, and return the re-scoring that
 // brings the previous table forward for when the table is needed.
 func (c *config) dirtyTable(ctx context.Context, g *Graph, m *Method, so filter.ScoreOpts) (func() (*Scores, error), error) {
-	if c.scores != nil {
-		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "WithScores and WithDirtyScores are mutually exclusive"}
-	}
 	if c.dirty.For != g {
 		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "dirty record describes a different graph"}
 	}
@@ -416,38 +448,6 @@ func (c *config) dirtyTable(ctx context.Context, g *Graph, m *Method, so filter.
 		s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
 		return s, err
 	}, nil
-}
-
-// ValidateScore runs the option checks Score makes before any work and
-// returns the error Score would return for opts, or nil: an unknown
-// method or parameter, or a pruning option. A server that answers Score
-// from a cached table calls it to reject exactly what Score rejects.
-func ValidateScore(opts ...Option) error {
-	_, _, err := scoreConfig(opts)
-	return err
-}
-
-// scoreConfig resolves Score's options. Pruning is a *ParamError, since
-// a table is never pruned; an undeclared parameter is one too, because
-// although parameters never change the table, naming one the method
-// lacks is a caller bug.
-func scoreConfig(opts []Option) (*config, *Method, error) {
-	c, m, err := resolve(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.topKSet || c.fracSet {
-		param := "top"
-		if !c.topKSet {
-			param = "frac"
-		}
-		return nil, nil, &ParamError{Method: m.Name, Param: param,
-			Reason: "Score returns the full table; prune with Backbone's WithTopK/WithTopFraction or the table's own TopK"}
-	}
-	if _, err := m.Resolve(c.params); err != nil {
-		return nil, nil, err
-	}
-	return c, m, nil
 }
 
 // BackboneAll runs several methods concurrently on the same graph and

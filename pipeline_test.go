@@ -138,8 +138,7 @@ func TestPipelineOptionValidation(t *testing.T) {
 }
 
 // TestScorePruningIsParamError: Score's refusal to prune is a typed
-// caller mistake, and ValidateScore returns the same error without
-// scoring.
+// caller mistake.
 func TestScorePruningIsParamError(t *testing.T) {
 	g := pipelineGraph(t)
 	for _, opt := range []Option{WithTopK(3), WithTopFraction(0.5)} {
@@ -148,12 +147,6 @@ func TestScorePruningIsParamError(t *testing.T) {
 		if !errors.As(err, &pe) || pe.Method != "df" {
 			t.Fatalf("Score with pruning: %v, want a *ParamError for df", err)
 		}
-		if verr := ValidateScore(WithMethod("df"), opt); verr == nil || verr.Error() != err.Error() {
-			t.Errorf("ValidateScore = %v, want Score's %v", verr, err)
-		}
-	}
-	if err := ValidateScore(WithMethod("df"), WithAlpha(0.1)); err != nil {
-		t.Errorf("ValidateScore rejected a valid request: %v", err)
 	}
 }
 
