@@ -201,17 +201,17 @@ func newServer(cfg serverConfig) *server {
 	}
 	evaluate := stateless(s.classifyEvaluate, s.evaluate)
 	evaluate.counter = &s.evalRequests
-	s.mux.HandleFunc("/backbone", s.serve(stateless(s.classifyRun(false), s.runStateless(false))))
-	s.mux.HandleFunc("/score", s.serve(stateless(s.classifyRun(true), s.runStateless(true))))
+	s.mux.HandleFunc("/backbone", s.serve(stateless(classifyRun(false, s.cacheHeld, "cached"), s.runStateless(false))))
+	s.mux.HandleFunc("/score", s.serve(stateless(classifyRun(true, s.cacheHeld, "cached"), s.runStateless(true))))
 	s.mux.HandleFunc("/evaluate", s.serve(evaluate))
 	s.mux.HandleFunc("POST /session", s.serve(op{route: byBody,
 		classify: fixedLane(admission.Cold, "session-create"), resolve: s.resolveBody, execute: s.createSession}))
 	s.mux.HandleFunc("POST /session/{id}/update", s.serve(op{route: bySessionBody,
 		classify: fixedLane(admission.Fast, "session-update"), resolve: s.lookupSession, execute: s.updateSession}))
 	s.mux.HandleFunc("GET /session/{id}/backbone", s.serve(op{route: bySession,
-		classify: s.classifySessionRead, resolve: s.lookupSession, execute: s.readSession(false)}))
+		classify: classifyRun(false, s.sessionHeld, "session-read"), resolve: s.lookupSession, execute: s.readSession(false)}))
 	s.mux.HandleFunc("GET /session/{id}/score", s.serve(op{route: bySession,
-		classify: s.classifySessionRead, resolve: s.lookupSession, execute: s.readSession(true)}))
+		classify: classifyRun(true, s.sessionHeld, "session-read"), resolve: s.lookupSession, execute: s.readSession(true)}))
 	s.mux.HandleFunc("DELETE /session/{id}", s.serve(op{route: bySession, execute: s.deleteSession}))
 	return s
 }
@@ -345,13 +345,14 @@ reports "hit" when every compared method's entry was cached — the whole
 comparison computed nothing.
 
 Admission is adaptive (AIMD under the -workers hard cap) with two
-priority lanes: requests whose every cache entry is already there take
-the fast lane; cold work queues behind a reserved-slot cold lane. A 503
-response carries a Retry-After computed from current queue depth and
-observed latency. Requests may carry X-Backbone-Deadline (remaining
-budget, integer milliseconds); an exhausted budget is refused with 504
-before any work runs, and fleet forwards re-stamp the header minus the
-estimated transit cost per attempt.
+priority lanes: a request whose every entry it reads is already held
+(in the score cache, or in its session) takes the fast lane; cold work
+queues behind a reserved-slot cold lane. A 503 response carries a
+Retry-After computed from current queue depth and observed latency.
+Requests may carry X-Backbone-Deadline (remaining budget, integer
+milliseconds); an exhausted budget is refused with 504 before any work
+runs, and fleet forwards re-stamp the header minus the estimated
+transit cost per attempt.
 
 Sessions make updates cheap: POST /session parses the body once and
 answers with a session ID; POST /session/{id}/update applies batched
@@ -359,10 +360,16 @@ edge upserts/deletes ({"updates":[{"src":"a","dst":"b","weight":2}]},
 weight 0 deletes); GET /session/{id}/backbone|/score answer for the
 updated edge set by re-scoring only the rows the updates could have
 changed — bit-identical to re-posting the whole modified edge list,
-without re-parsing, rebuilding or re-scoring it. Responses carry
-X-Backbone-Rescored (rows re-scored by this read) next to the usual
-headers. Sessions are bounded by -max-sessions (LRU-evicted past it)
-and closed with DELETE /session/{id}.
+without re-parsing, rebuilding or re-scoring it. A session holds only
+what a read serves without a full computation: the tables of the
+current edge set, the df/nt tables one update behind (a frontier
+rescore), and the extractions (mst; ds without top/frac) of the
+current edge set; an update drops the rest. A session read is fast
+exactly when its entry is held, and a repeat with no update between
+answers "hit". Responses carry X-Backbone-Rescored (rows re-scored by
+this read) next to the usual headers. Sessions are bounded by
+-max-sessions (LRU-evicted past it) and closed with DELETE
+/session/{id}.
 
 In fleet mode (-peers/-self) each request body is routed to its owning
 peer by content digest; responses carry X-Backbone-Served-By (the peer
@@ -824,9 +831,8 @@ func (s *server) cacheSources(c *call) (repro.ScoreSource, repro.ExtractSource) 
 // anything.
 type tally struct{ reads, hits atomic.Int32 }
 
-// sources hands a request's score source, and its extract source when
-// it has one, to the pipeline as options, counting every read into t.
-// Every endpoint's reads go through here.
+// sources hands a request's two sources to the pipeline as options,
+// counting every read into t. Every endpoint's reads go through here.
 func (t *tally) sources(score repro.ScoreSource, extract repro.ExtractSource) []repro.Option {
 	count := func(hit bool) {
 		t.reads.Add(1)
@@ -834,19 +840,18 @@ func (t *tally) sources(score repro.ScoreSource, extract repro.ExtractSource) []
 			t.hits.Add(1)
 		}
 	}
-	opts := []repro.Option{repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-		sc, hit, err := score(ctx, m)
-		count(hit)
-		return sc, hit, err
-	})}
-	if extract != nil {
-		opts = append(opts, repro.WithExtractSource(func(ctx context.Context, m *repro.Method) (repro.Selection, bool, error) {
+	return []repro.Option{
+		repro.WithScoreSource(func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
+			sc, hit, err := score(ctx, m)
+			count(hit)
+			return sc, hit, err
+		}),
+		repro.WithExtractSource(func(ctx context.Context, m *repro.Method) (repro.Selection, bool, error) {
 			sel, hit, err := extract(ctx, m)
 			count(hit)
 			return sel, hit, err
-		}))
+		}),
 	}
-	return opts
 }
 
 func (t *tally) header() string {
@@ -856,35 +861,48 @@ func (t *tally) header() string {
 	return "miss"
 }
 
-// cachedLane is the one admission rule for work on a posted body: the
-// fast lane, under the cost key "cached", when every entry the
-// request's cuts read is in the score cache, else the cold lane under
-// coldKey. Which entry a cut reads is Method.BackboneCtx's choice — the
-// method's table when NeedsTable at the cut's rankedness, else its
-// extraction — so this checks the very scoreKey the cache sources will
-// read. Envelope bodies classify cold: their method, pruning and
-// directedness live in the undecoded JSON.
-func (s *server) cachedLane(c *call, methods []*repro.Method, ranked func(*repro.Method) bool, coldKey string) (admission.Lane, string) {
-	if c.key.mode == "envelope" || len(methods) == 0 {
+// held reports whether the store a read draws on holds a method's
+// entry: its extraction when extract is set, else its table.
+type held func(m *repro.Method, extract bool) bool
+
+// cachedLane is the one admission rule: the fast lane, under fastKey,
+// when every entry the request's cuts read is held, else the cold lane
+// under coldKey. Which entry a cut reads is Method.BackboneCtx's choice
+// — the method's table when NeedsTable at the cut's rankedness, else
+// its extraction — so this asks about the very entry the read's source
+// will serve. A store holds only what it serves without a full
+// computation, so fast work is pruning, at most a frontier rescore,
+// and serialization.
+func cachedLane(methods []*repro.Method, ranked func(*repro.Method) bool, has held, fastKey, coldKey string) (admission.Lane, string) {
+	if len(methods) == 0 {
 		return admission.Cold, coldKey
 	}
 	for _, m := range methods {
-		if !s.scores.Contains(scoreKey{g: c.key, method: m.Name, extract: !m.NeedsTable(ranked(m))}) {
+		if !has(m, !m.NeedsTable(ranked(m))) {
 			return admission.Cold, coldKey
 		}
 	}
-	return admission.Fast, "cached"
+	return admission.Fast, fastKey
+}
+
+// cacheHeld is the score cache's held predicate for the request's body.
+// Envelope bodies hold nothing: their method, pruning and directedness
+// live in the undecoded JSON.
+func (s *server) cacheHeld(c *call) held {
+	return func(m *repro.Method, extract bool) bool {
+		return c.key.mode != "envelope" && s.scores.Contains(scoreKey{g: c.key, method: m.Name, extract: extract})
+	}
 }
 
 // classifyRun picks the admission lane and latency cost key for a
-// /backbone or /score request before any slot is held: fast when the
-// cut's table or extraction is already cached for this exact body —
-// serving is pruning plus serialization — so such requests are never
-// starved behind cold scoring work. A score reply reads the table, as a
-// ranked (top/frac) cut does. (An mmap-served -graphdir body
-// additionally skips parsing, but its first-touch scoring is still cold
-// work.)
-func (s *server) classifyRun(scoreOnly bool) func(*call) (admission.Lane, string) {
+// /backbone or /score request, or a session read, before any slot is
+// held: fast, under fastKey, when the store the read draws on (held)
+// holds the cut's table or extraction, so such requests are never
+// starved behind cold scoring work; cold under the method's name
+// otherwise. A score reply reads the table, as a ranked (top/frac) cut
+// does. (An mmap-served -graphdir body additionally skips parsing, but
+// its first-touch scoring is still cold work.)
+func classifyRun(scoreOnly bool, store func(*call) held, fastKey string) func(*call) (admission.Lane, string) {
 	return func(c *call) (admission.Lane, string) {
 		name := c.q.Get("method")
 		if name == "" {
@@ -895,7 +913,7 @@ func (s *server) classifyRun(scoreOnly bool) func(*call) (admission.Lane, string
 			return admission.Cold, name
 		}
 		ranked := scoreOnly || c.q.Get("top") != "" || c.q.Get("frac") != ""
-		return s.cachedLane(c, []*repro.Method{m}, func(*repro.Method) bool { return ranked }, name)
+		return cachedLane([]*repro.Method{m}, func(*repro.Method) bool { return ranked }, store(c), fastKey, name)
 	}
 }
 
@@ -919,7 +937,8 @@ func evalMethods(q url.Values) (names []string, ok bool) {
 
 // classifyEvaluate is classifyRun for /evaluate: fast lane only when
 // every entry the size-matched comparison reads is cached, i.e. it runs
-// without scoring or extracting anything.
+// without scoring or extracting anything. A fast comparison costs about
+// three /backbone hits, so it keeps a cost key of its own.
 func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
 	var methods []*repro.Method
 	names, ok := evalMethods(c.q)
@@ -933,7 +952,7 @@ func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
 		}
 		methods = append(methods, m)
 	}
-	return s.cachedLane(c, methods, func(m *repro.Method) bool { return eval.Ranked(m, true) }, "evaluate")
+	return cachedLane(methods, func(m *repro.Method) bool { return eval.Ranked(m, true) }, s.cacheHeld(c), "evaluate-cached", "evaluate")
 }
 
 // run is the execute step /backbone, /score and the session reads

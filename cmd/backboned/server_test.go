@@ -810,6 +810,21 @@ func TestEvaluateLanes(t *testing.T) {
 				c.name, fast, cold, cache, c.fast, c.cold, c.cache)
 		}
 	}
+
+	// A fast comparison costs about three /backbone hits, so its
+	// latency samples go under a cost key of its own.
+	before := s.limiter.Stats().Latency
+	if _, _, cache := lanes("/evaluate?methods=nc,df,nt,mst"); cache != "hit" {
+		t.Fatalf("all-hit repeat: X-Backbone-Cache %q", cache)
+	}
+	after := s.limiter.Stats().Latency
+	if after["evaluate-cached"].Samples <= before["evaluate-cached"].Samples {
+		t.Errorf("fast /evaluate added no sample under cost key evaluate-cached: %+v", after)
+	}
+	if after["cached"].Samples != before["cached"].Samples {
+		t.Errorf("fast /evaluate added a sample under cost key cached: %d -> %d",
+			before["cached"].Samples, after["cached"].Samples)
+	}
 }
 
 // TestBackboneLanes: /backbone admits a request on the fast lane

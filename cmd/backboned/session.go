@@ -39,10 +39,11 @@ import (
 const defaultMaxSessions = 256
 
 // session is one live overlay: the delta accumulating updates, the
-// latest materialization, and per-method score tables that advance
-// incrementally. mu serializes all delta/table access (graph.Delta is
-// not concurrency-safe); lastUsed is guarded by server.sessMu, not mu,
-// so eviction scans never wait on a session mid-score.
+// latest materialization, and the per-method entries a read serves
+// without a full computation. mu serializes all delta and entry access
+// (graph.Delta is not concurrency-safe); lastUsed is guarded by
+// server.sessMu, not mu, so eviction scans never wait on a session
+// mid-score.
 type session struct {
 	id  string
 	sum [sha256.Size]byte // creating body's digest: the fleet routing anchor
@@ -51,11 +52,15 @@ type session struct {
 	delta *graph.Delta
 	g     *repro.Graph // latest materialization (== delta's last Graph())
 	// lastDirty is the dirty record of the latest materialization: a
-	// table exactly one generation behind rides its row diff (and, with
-	// an exclusive delta, its in-place surrender).
+	// table one generation behind rides its row diff (and, with an
+	// exclusive delta, its in-place surrender).
 	lastDirty graph.Dirty
-	tables    map[string]*repro.Scores // per method; may be generations behind g
-	applied   uint64                   // total updates accepted
+	// tables holds each method's table for g, or, for a method that
+	// rescores locally, for the generation before it; updateSession
+	// drops every other table. extracts holds extractions of g alone.
+	tables   map[string]*repro.Scores
+	extracts map[string]repro.Selection
+	applied  uint64 // total updates accepted
 
 	created  time.Time
 	lastUsed time.Time // guarded by server.sessMu
@@ -166,12 +171,14 @@ func (s *server) createSession(c *call) error {
 	delta := graph.NewDelta(c.g, 0)
 	delta.SetExclusive(true)
 	s.putSession(&session{
-		id:      id,
-		sum:     c.sum,
-		delta:   delta,
-		g:       c.g,
-		tables:  map[string]*repro.Scores{},
-		created: time.Now(),
+		id:        id,
+		sum:       c.sum,
+		delta:     delta,
+		g:         c.g,
+		lastDirty: graph.Dirty{For: c.g},
+		tables:    map[string]*repro.Scores{},
+		extracts:  map[string]repro.Selection{},
+		created:   time.Now(),
 	})
 	s.sessionCreates.Add(1)
 
@@ -204,7 +211,11 @@ type sessionUpdateEdge struct {
 // updateSession executes POST /session/{id}/update: batched edge
 // upserts/deletes into the session's delta overlay. No scoring runs
 // here — dirtiness is recorded and the next read pays only for the
-// rows it invalidated.
+// rows it invalidated. The batch drops every entry the next
+// materialization cannot carry forward by a frontier rescore: every
+// extraction (the exclusive delta recycles the arrays a selection
+// points into), every table already a generation behind, and every
+// table of a method that does not rescore locally.
 func (s *server) updateSession(c *call) error {
 	var ub sessionUpdateBody
 	if err := json.Unmarshal(c.body, &ub); err != nil {
@@ -239,6 +250,16 @@ func (s *server) updateSession(c *call) error {
 	}
 	sess.applied += uint64(len(ups))
 	s.sessionUpdates.Add(1)
+	clear(sess.extracts)
+	for name, t := range sess.tables {
+		current := t.G == sess.g
+		if current {
+			s.sessionInvalidations.Add(1)
+		}
+		if m, err := repro.LookupMethod(name); !current || err != nil || !m.RescoresLocally() {
+			delete(sess.tables, name)
+		}
+	}
 
 	c.outcome = admission.OK
 	c.w.Header().Set("Content-Type", "application/json")
@@ -252,75 +273,77 @@ func (s *server) updateSession(c *call) error {
 }
 
 // advance materializes the session's delta and keeps the dirty record
-// for the table reads that follow. Must hold sess.mu. Returns the
-// number of tables invalidated (counted once per table per
-// materialization).
-func (sess *session) advance() (g *repro.Graph, invalidated int) {
-	g, dirty := sess.delta.Graph()
-	if g == sess.g {
-		return g, 0
+// for the table reads that follow. Must hold sess.mu.
+func (sess *session) advance() *repro.Graph {
+	if g, dirty := sess.delta.Graph(); g != sess.g {
+		sess.g, sess.lastDirty = g, dirty
 	}
-	sess.g, sess.lastDirty = g, dirty
-	return g, len(sess.tables)
+	return sess.g
 }
 
 // sessionScores brings one method's table forward to the session's
 // current materialization, re-scoring only dirty rows. Must hold
 // sess.mu. Returns the fresh table and how many rows were re-scored
 // (0 = pure reuse).
-func (s *server) sessionScores(ctx context.Context, sess *session, g *repro.Graph, m *repro.Method) (*repro.Scores, int, error) {
+func (s *server) sessionScores(ctx context.Context, sess *session, m *repro.Method) (*repro.Scores, int, error) {
 	old := sess.tables[m.Name]
-	if old != nil && old.G == g {
+	if old != nil && old.G == sess.g {
 		return old, 0, nil
 	}
 	if err := s.scoreGate(ctx); err != nil {
 		return nil, 0, err
 	}
-	// A table exactly one generation behind rides the materialization's
-	// own dirty record: row diff, surrender and all. Any other table
-	// gets a bare record, so RescoreDirty pays a full (still
-	// bit-identical) rescore: the delta is exclusive, so an older
-	// table's graph has been cannibalized and no row diff reaches it.
-	dirty := graph.Dirty{For: g}
-	if ld := sess.lastDirty; old != nil && ld.For == g && ld.Base == old.G {
-		dirty = ld
-	}
-	// An exclusive rescore consumes old even when it fails, so the
-	// table leaves the session until its successor is ready.
+	// A held table is one generation behind, so it rides the
+	// materialization's dirty record: row diff, surrender and all. An
+	// exclusive rescore consumes it even when it fails, so the table
+	// leaves the session until its successor is ready.
 	delete(sess.tables, m.Name)
-	sc, rescored, err := filter.RescoreDirty(ctx, m, old, dirty, filter.ScoreOpts{})
+	sc, rescored, err := filter.RescoreDirty(ctx, m, old, sess.lastDirty, filter.ScoreOpts{})
 	if err != nil {
 		return nil, 0, err
 	}
 	sess.tables[m.Name] = sc
 	s.sessionRescoredRows.Add(uint64(rescored))
-	if rescored == g.NumEdges() {
+	if rescored == sess.g.NumEdges() {
 		s.sessionFullRescores.Add(1)
 	}
 	return sc, rescored, nil
 }
 
-// classifySessionRead picks the admission lane for a session read:
-// fast when the method's table already exists in the session (the read
-// is a frontier rescore plus serialization), cold on first touch.
-func (s *server) classifySessionRead(c *call) (admission.Lane, string) {
-	method := c.q.Get("method")
-	if method == "" {
-		method = "nc"
+// extract is a session read's extract source: one method's extraction
+// of the current materialization, extracted on first touch. Must hold
+// sess.mu; run has already passed scoreGate.
+func (sess *session) extract(ctx context.Context, m *repro.Method) (repro.Selection, bool, error) {
+	if sel, ok := sess.extracts[m.Name]; ok {
+		return sel, true, nil
 	}
+	sel, _, err := m.BackboneCtx(ctx, sess.g, nil, -1, nil, nil)
+	if err != nil {
+		return repro.Selection{}, false, err
+	}
+	sess.extracts[m.Name] = sel
+	return sel, false, nil
+}
+
+// sessionHeld is a session read's held predicate: map membership in
+// the session the route names. A missing session counts as held, so
+// its 404 does not queue behind scoring.
+func (s *server) sessionHeld(c *call) held {
 	s.sessMu.Lock()
 	sess := s.sessions[c.id]
 	s.sessMu.Unlock()
-	if sess == nil {
-		return admission.Fast, "session-read" // 404s should not queue behind scoring
+	return func(m *repro.Method, extract bool) bool {
+		if sess == nil {
+			return true
+		}
+		sess.mu.Lock()
+		defer sess.mu.Unlock()
+		if extract {
+			_, ok := sess.extracts[m.Name]
+			return ok
+		}
+		return sess.tables[m.Name] != nil
 	}
-	sess.mu.Lock()
-	warm := sess.tables[method] != nil
-	sess.mu.Unlock()
-	if warm {
-		return admission.Fast, "session-read"
-	}
-	return admission.Cold, method
 }
 
 // readSession executes GET /session/{id}/backbone and /score: the
@@ -340,18 +363,14 @@ func (s *server) readSession(scoreOnly bool) func(*call) error {
 		// recycles on the next materialization.
 		sess.mu.Lock()
 		defer sess.mu.Unlock()
-		g, invalidated := sess.advance()
-		if invalidated > 0 {
-			s.sessionInvalidations.Add(uint64(invalidated))
-		}
-		req.g = g
+		req.g = sess.advance()
 		rescored := 0
 		score := func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-			sc, n, err := s.sessionScores(ctx, sess, g, m)
+			sc, n, err := s.sessionScores(ctx, sess, m)
 			rescored = n
 			return sc, n == 0, err
 		}
-		return s.run(c, req, scoreOnly, score, nil, func(h http.Header) {
+		return s.run(c, req, scoreOnly, score, sess.extract, func(h http.Header) {
 			h.Set("X-Backbone-Session", c.id)
 			h.Set("X-Backbone-Rescored", strconv.Itoa(rescored))
 		})

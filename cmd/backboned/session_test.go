@@ -438,6 +438,94 @@ func TestSessionStaleTableFullRescore(t *testing.T) {
 	}
 }
 
+// TestSessionReadLanes: a session read takes the fast lane exactly when
+// the session holds the entry its cut reads — an extraction of the
+// current edge set, or a table a frontier rescore at most behind — and
+// answers hit exactly when it computed nothing. ds's table (from its
+// score read) does not make a native ds read fast; an update drops the
+// extractions and the tables of methods that rescore in full (nc).
+func TestSessionReadLanes(t *testing.T) {
+	s, ts := newTestServer(t, 2, 10*time.Second)
+	g := testGraph(t, 400)
+	base := encodeGraph(t, g, "csv")
+	c := openSession(t, ts.URL, base)
+
+	type reply struct {
+		fast     bool
+		cache    string
+		rescored int
+		body     []byte
+	}
+	read := func(endpoint, query string) reply {
+		t.Helper()
+		before := s.limiter.Stats()
+		resp, raw := c.get(endpoint, query)
+		after := s.limiter.Stats()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s?%s: status %d: %s", endpoint, query, resp.StatusCode, raw)
+		}
+		fast, cold := after.Fast.Admitted-before.Fast.Admitted, after.Cold.Admitted-before.Cold.Admitted
+		if fast+cold != 1 {
+			t.Fatalf("%s?%s: fast +%d, cold +%d; want one admission", endpoint, query, fast, cold)
+		}
+		n, err := strconv.Atoi(resp.Header.Get("X-Backbone-Rescored"))
+		if err != nil {
+			t.Fatalf("X-Backbone-Rescored %q: %v", resp.Header.Get("X-Backbone-Rescored"), err)
+		}
+		return reply{fast: fast == 1, cache: resp.Header.Get("X-Backbone-Cache"), rescored: n, body: raw}
+	}
+	lane := func(fast bool) string {
+		if fast {
+			return "fast"
+		}
+		return "cold"
+	}
+	expect := func(name string, r reply, fast bool, cache string) {
+		t.Helper()
+		if r.fast != fast || r.cache != cache {
+			t.Errorf("%s: %s/%s, want %s/%s", name, lane(r.fast), r.cache, lane(fast), cache)
+		}
+	}
+
+	for _, method := range []string{"mst", "ds"} {
+		if method == "ds" {
+			read("score", "method=ds")
+		}
+		miss := read("backbone", "method="+method)
+		expect(method+" first read", miss, false, "miss")
+		hit := read("backbone", "method="+method)
+		expect(method+" repeat", hit, true, "hit")
+		status, want := postBody(t, ts.URL+"/backbone?method="+method, base)
+		if status != http.StatusOK {
+			t.Fatalf("stateless %s: status %d: %s", method, status, want)
+		}
+		if !bytes.Equal(hit.body, miss.body) || !bytes.Equal(hit.body, want) {
+			t.Errorf("%s: hit reply differs from its miss reply or from stateless /backbone", method)
+		}
+	}
+
+	read("backbone", "method=nc")
+	read("backbone", "method=df")
+	oracle := newSessionOracle(g)
+	w := 7.0
+	ups := []wireUpdate{{Src: g.Label(0), Dst: g.Label(1), Weight: &w}}
+	c.mustUpdate(ups)
+	oracle.apply(ups)
+	m := len(oracle.state)
+
+	nc := read("backbone", "method=nc")
+	expect("nc after update", nc, false, "miss")
+	if nc.rescored != m {
+		t.Errorf("nc after update rescored %d of %d rows; want all", nc.rescored, m)
+	}
+	df := read("backbone", "method=df")
+	expect("df after update", df, true, "miss")
+	if df.rescored == 0 || df.rescored >= m {
+		t.Errorf("df after update rescored %d of %d rows; want a strict non-empty subset", df.rescored, m)
+	}
+	expect("mst after update", read("backbone", "method=mst"), false, "miss")
+}
+
 // TestSessionValidation covers the caller-mistake surface: malformed
 // IDs, unknown sessions, unknown node labels, empty and invalid update
 // batches — and that a failed batch leaves the session untouched.

@@ -174,7 +174,8 @@ func TestIncrementalBitIdenticalAllMethods(t *testing.T) {
 
 // TestRescoreDirtyCounts pins that the frontier signatures actually
 // re-score less than the full table (the perf contract behind the
-// bit-identity one), and that fallback methods report a full rescore.
+// bit-identity one), that fallback methods report a full rescore, and
+// that Method.RescoresLocally names exactly the methods that do not.
 // The last case starts from a table above the 4096-edge cutoff, scored
 // on every CPU (and with the deprecated WithParallel): multi-core
 // scoring must not cost the next update its frontier rescore.
@@ -202,6 +203,9 @@ func TestRescoreDirtyCounts(t *testing.T) {
 		{method: "nt", base: small, partial: true},
 		{method: "df", base: small, partial: true},
 		{method: "nc", base: small},
+		{method: "nc-binomial", base: small},
+		{method: "hss", base: small},
+		{method: "ds", base: small},
 		{method: "kcore", base: small}, // no capability: transparent full fallback
 		{method: "df", base: big, opts: []Option{WithParallel()}, partial: true},
 	}
@@ -222,6 +226,9 @@ func TestRescoreDirtyCounts(t *testing.T) {
 		s, rescored, err := filter.RescoreDirty(ctx, m, old, dirty, filter.ScoreOpts{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if m.RescoresLocally() != tc.partial {
+			t.Fatalf("%s: RescoresLocally() = %v, want %v", tc.method, m.RescoresLocally(), tc.partial)
 		}
 		if tc.partial {
 			if rescored == 0 || rescored >= g.NumEdges() {

@@ -12,7 +12,6 @@ package filter
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -66,11 +65,11 @@ type DeltaScorer struct {
 // result is bit-identical to scoring dirty.For from scratch; the int
 // result is the number of rows actually re-scored.
 //
-// Fallback is transparent: if m declares no DeltaScorer capability, its
-// scorer is not a RangeScorer, old is nil, old was computed for a
-// different graph than dirty.Base, or dirty carries no row diff (only
-// hand-built records lack one), the full ScoreCtx path runs instead (and
-// the rescored count is the table size).
+// Fallback is transparent: if m does not rescore locally (see
+// Method.RescoresLocally), old is nil, old was computed for a different
+// graph than dirty.Base, or dirty carries no row diff (only hand-built
+// records lack one), the full ScoreCtx path runs instead (and the
+// rescored count is the table size).
 //
 // With dirty.Exclusive the call consumes old — its columns become the
 // new table, shifted in place — even when it returns an error: a
@@ -81,10 +80,8 @@ func RescoreDirty(ctx context.Context, m *Method, old *Scores, dirty graph.Dirty
 	if g == nil {
 		return nil, 0, fmt.Errorf("filter: RescoreDirty: dirty record has no target graph")
 	}
-	rs, ranged := m.Scorer.(RangeScorer)
 	diff := dirty.Diff
-	if m.Delta == nil || !ranged || old == nil || old.G != dirty.Base || diff == nil ||
-		old.Method != m.Scorer.Name() || m.Delta.Dirtiness == DirtyGlobal {
+	if !m.RescoresLocally() || old == nil || old.G != dirty.Base || diff == nil || old.Method != m.Scorer.Name() {
 		s, err := m.ScoreCtx(ctx, g, o)
 		if err != nil {
 			return nil, 0, err
@@ -95,31 +92,9 @@ func RescoreDirty(ctx context.Context, m *Method, old *Scores, dirty graph.Dirty
 	// Clean rows are carried over through the diff's segment map. When
 	// the previous generation is surrendered (Dirty.Exclusive) the old
 	// columns themselves become the new table, segments shifted in
-	// place; otherwise they are block-copied into a fresh table.
-	var s *Scores
-	if dirty.Exclusive {
-		s = migrateTable(old, g, diff)
-	} else {
-		var err error
-		if s, err = rs.NewTable(g); err != nil {
-			return nil, 0, err
-		}
-		cols, ok := pairColumns(s, old)
-		if !ok {
-			// Aux layout mismatch between the two tables — should not
-			// happen for one method, but a full rescore is always correct.
-			full, ferr := m.ScoreCtx(ctx, g, o)
-			if ferr != nil {
-				return nil, 0, ferr
-			}
-			return full, g.NumEdges(), nil
-		}
-		for _, c := range cols {
-			for _, sc := range diff.Copies {
-				copy(c.dst[sc.ForLo:sc.ForLo+sc.Len], c.src[sc.BaseLo:sc.BaseLo+sc.Len])
-			}
-		}
-	}
+	// place; otherwise they are block-copied into fresh columns.
+	s := migrateTable(old, g, diff, dirty.Exclusive)
+	rs := m.Scorer.(RangeScorer)
 	rows := diff.Changed
 	if m.Delta.Dirtiness == DirtyEndpoints {
 		rows = diff.Frontier
@@ -147,20 +122,23 @@ func RescoreDirty(ctx context.Context, m *Method, old *Scores, dirty graph.Dirty
 // then shifts in place until the delta compacts.
 const tableSlack = 4096
 
-// migrateTable turns the surrendered previous-generation table into
-// g's: every column whose capacity admits the new row count is resliced
-// and its clean segments shifted in place — a pure re-weight batch
-// moves nothing, since zero-shift segments are skipped — and columns
-// that must grow beyond capacity (NewTable allocates exact-capacity
-// columns, so the first insert after a full scoring lands here) are
-// reallocated once with slack. Dirty rows are left stale; the caller
-// re-scores all of them. The structure (Method, Aux names) is cloned
-// from the old table, which the delta-capable scorers' NewTable
-// implementations produce from those same fields alone.
-func migrateTable(old *Scores, g *graph.Graph, diff *graph.RowDiff) *Scores {
+// migrateTable carries old's clean rows into g's table through the
+// diff's segment map. With inPlace (old was surrendered) every column
+// whose capacity admits the new row count is resliced and its clean
+// segments shifted in place — a pure re-weight batch moves nothing,
+// since zero-shift segments are skipped. Every other column — all of
+// them without inPlace, and those that must grow beyond capacity
+// (NewTable allocates exact-capacity columns, so the first insert
+// after a full scoring lands here) — is copied into a fresh one
+// allocated with slack, leaving old's column untouched. Dirty rows are
+// left stale; the caller re-scores all of them. The structure (Method,
+// Aux names) is cloned from the old table, which the delta-capable
+// scorers' NewTable implementations produce from those same fields
+// alone.
+func migrateTable(old *Scores, g *graph.Graph, diff *graph.RowDiff, inPlace bool) *Scores {
 	newM := g.NumEdges()
 	move := func(src []float64) []float64 {
-		if cap(src) >= newM {
+		if inPlace && cap(src) >= newM {
 			// Shift within the shared backing; sources are read through
 			// src (the old length) since a shrinking batch leaves them
 			// beyond the new length.
@@ -193,29 +171,4 @@ func migrateTable(old *Scores, g *graph.Graph, diff *graph.RowDiff) *Scores {
 		}
 	}
 	return s
-}
-
-// colPair ties one destination column of the new table to its source
-// column in the old table.
-type colPair struct{ dst, src []float64 }
-
-// pairColumns lines up the Score and Aux columns of the new and old
-// tables; ok is false when the old table is missing a column the new
-// one has.
-func pairColumns(s, old *Scores) ([]colPair, bool) {
-	cols := []colPair{{dst: s.Score, src: old.Score}}
-	names := make([]string, 0, len(s.Aux))
-	//lint:detiter-ok keys are sorted before use
-	for name := range s.Aux {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		src, ok := old.Aux[name]
-		if !ok {
-			return nil, false
-		}
-		cols = append(cols, colPair{dst: s.Aux[name], src: src})
-	}
-	return cols, true
 }

@@ -96,6 +96,16 @@ type Method struct {
 	Delta *DeltaScorer
 }
 
+// RescoresLocally reports whether RescoreDirty brings m's table forward
+// by re-scoring only the rows an update dirtied: m declares a Delta
+// capability whose signature is not DirtyGlobal, and its scorer is a
+// RangeScorer. Any other method's table is re-scored in full on every
+// update.
+func (m *Method) RescoresLocally() bool {
+	_, ranged := m.Scorer.(RangeScorer)
+	return m.Delta != nil && ranged && m.Delta.Dirtiness != DirtyGlobal
+}
+
 // Param returns the schema entry with the given name.
 func (m *Method) Param(name string) (Param, bool) {
 	for _, p := range m.Params {
