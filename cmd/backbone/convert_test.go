@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +20,7 @@ func TestCLIConvertThenRun(t *testing.T) {
 	in := writeTestCSV(t)
 
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-convert", in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-convert", in}, nil, &stdout, &stderr); err != nil {
 		t.Fatalf("-convert: %v", err)
 	}
 	if stdout.Len() != 0 {
@@ -32,10 +35,10 @@ func TestCLIConvertThenRun(t *testing.T) {
 	}
 
 	var fromCSV, fromBBG, errbuf bytes.Buffer
-	if err := newApp().run([]string{"-method", "nc", "-delta", "1.0", in}, nil, &fromCSV, &errbuf); err != nil {
+	if err := newApp().run(context.Background(), []string{"-method", "nc", "-delta", "1.0", in}, nil, &fromCSV, &errbuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := newApp().run([]string{"-method", "nc", "-delta", "1.0", bbg}, nil, &fromBBG, &errbuf); err != nil {
+	if err := newApp().run(context.Background(), []string{"-method", "nc", "-delta", "1.0", bbg}, nil, &fromBBG, &errbuf); err != nil {
 		t.Fatal(err)
 	}
 	if fromCSV.String() != fromBBG.String() {
@@ -51,7 +54,7 @@ func TestCLIConvertGraphdir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "graphs")
 
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-convert", "-graphdir", dir, in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-convert", "-graphdir", dir, in}, nil, &stdout, &stderr); err != nil {
 		t.Fatalf("-convert -graphdir: %v", err)
 	}
 	sum := sha256.Sum256([]byte(testCSV))
@@ -112,13 +115,54 @@ func TestAtomicCreateCommitAndAbort(t *testing.T) {
 	}
 }
 
+// TestCancelledRunPublishesNothing: a run whose context is cancelled,
+// before it starts or in the middle of writing its output, fails with
+// context.Canceled and leaves neither the -o file nor a temporary file.
+func TestCancelledRunPublishesNothing(t *testing.T) {
+	in := writeTestCSV(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-method", "nc"},
+		{"-eval", "-methods", "nc,mst"},
+		{"-convert"},
+	} {
+		dir := t.TempDir()
+		out := filepath.Join(dir, "out")
+		var stdout, stderr bytes.Buffer
+		err := newApp().run(ctx, append(args, "-o", out, in), nil, &stdout, &stderr)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: err = %v, want context.Canceled", args, err)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%v: cancelled run left %v", args, entries)
+		}
+	}
+
+	// Ctrl-C while the output is being written.
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "out.csv")
+	ctx, cancel = context.WithCancel(context.Background())
+	err := writeOutput(ctx, dst, nil, func(w io.Writer) error {
+		_, err := io.WriteString(w, "a,b,1\n")
+		cancel()
+		return err
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled mid-write: err = %v, want context.Canceled", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("cancelled mid-write left %v", entries)
+	}
+}
+
 // TestCLIConvertLeavesNoTempResidue: a successful -convert -graphdir
 // publishes exactly the digest-named file.
 func TestCLIConvertLeavesNoTempResidue(t *testing.T) {
 	in := writeTestCSV(t)
 	dir := filepath.Join(t.TempDir(), "graphs")
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-convert", "-graphdir", dir, in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-convert", "-graphdir", dir, in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -134,14 +178,14 @@ func TestCLIConvertLeavesNoTempResidue(t *testing.T) {
 // so -o (or -graphdir) is mandatory; with -o it converts normally.
 func TestCLIConvertStdin(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := newApp().run([]string{"-convert", "-"}, strings.NewReader(testCSV), &stdout, &stderr)
+	err := newApp().run(context.Background(), []string{"-convert", "-"}, strings.NewReader(testCSV), &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "-o or -graphdir") {
 		t.Fatalf("err = %v, want the naming requirement", err)
 	}
 
 	out := filepath.Join(t.TempDir(), "out.bbg")
 	stderr.Reset()
-	if err := newApp().run([]string{"-convert", "-o", out, "-"}, strings.NewReader(testCSV), &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-convert", "-o", out, "-"}, strings.NewReader(testCSV), &stdout, &stderr); err != nil {
 		t.Fatalf("-convert -o from stdin: %v", err)
 	}
 	if _, err := os.Stat(out); err != nil {
@@ -161,7 +205,7 @@ func TestCLIConvertFlagCombos(t *testing.T) {
 		{[]string{"-convert", "-graphdir", t.TempDir(), "-o", "x.bbg", in}, "mutually exclusive"},
 	} {
 		var stdout, stderr bytes.Buffer
-		err := newApp().run(tc.args, nil, &stdout, &stderr)
+		err := newApp().run(context.Background(), tc.args, nil, &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
 		}
@@ -174,11 +218,11 @@ func TestCLIConvertFlagCombos(t *testing.T) {
 func TestCLIBBGExplicitOtherFormat(t *testing.T) {
 	in := writeTestCSV(t)
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-convert", in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-convert", in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	bbg := strings.TrimSuffix(in, ".csv") + ".bbg"
-	err := newApp().run([]string{"-format", "csv", bbg}, nil, &stdout, &stderr)
+	err := newApp().run(context.Background(), []string{"-format", "csv", bbg}, nil, &stdout, &stderr)
 	if err == nil {
 		t.Fatal("csv-parsing a .bbg file succeeded")
 	}

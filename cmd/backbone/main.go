@@ -74,8 +74,11 @@ import (
 var errFlagParse = errors.New("invalid flags")
 
 func main() {
-	a := newApp()
-	err := a.run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
+	// SIGINT/SIGTERM cancel the run, whatever the mode: scoring stops at
+	// its next checkpoint and an -o file is never published half-written.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := newApp().run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr)
+	stop()
 	switch {
 	case err == nil:
 	case errors.Is(err, flag.ErrHelp):
@@ -319,8 +322,8 @@ func (a *app) evalOutFormat() (string, error) {
 
 // runEval grades the registered methods on g and renders the report to
 // -o (default stdout) in the pre-validated format (table, csv or
-// json). SIGINT cancels the run mid-scoring.
-func (a *app) runEval(g *repro.Graph, opts []repro.Option, format string, readOpts []repro.IOOption, stdout, stderr io.Writer) error {
+// json).
+func (a *app) runEval(ctx context.Context, g *repro.Graph, opts []repro.Option, format string, readOpts []repro.IOOption, stdout, stderr io.Writer) error {
 	if *a.next != "" {
 		f, err := os.Open(*a.next)
 		if err != nil {
@@ -337,43 +340,24 @@ func (a *app) runEval(g *repro.Graph, opts []repro.Option, format string, readOp
 		opts = append(opts, repro.WithNextSnapshot(repro.AlignNodes(g, next)))
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	rep, err := repro.CompareContext(ctx, g, opts...)
 	if err != nil {
 		return err
 	}
-
-	w := stdout
-	var commit func() error
-	if *a.out != "" {
-		f, c, abort, err := atomicCreate(*a.out)
-		if err != nil {
+	err = writeOutput(ctx, *a.out, stdout, func(w io.Writer) error {
+		switch format {
+		case "table":
+			_, err := io.WriteString(w, renderEvalTable(rep))
 			return err
+		case "csv":
+			return writeEvalCSV(w, rep)
 		}
-		defer abort()
-		commit = c
-		w = f
-	}
-	var writeErr error
-	switch format {
-	case "table":
-		_, writeErr = io.WriteString(w, renderEvalTable(rep))
-	case "csv":
-		writeErr = writeEvalCSV(w, rep)
-	case "json":
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		writeErr = enc.Encode(rep)
-	}
-	if writeErr == nil && commit != nil {
-		// Sync/close errors matter here: a short write to a full disk
-		// must not exit 0 with a truncated report. A failed write never
-		// commits — the previous report, if any, survives intact.
-		writeErr = commit()
-	}
-	if writeErr != nil {
-		return fmt.Errorf("write report: %w", writeErr)
+		return enc.Encode(rep)
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(stderr, "evaluated %d methods on %d nodes / %d edges (target %d edges, %d scored, %v)\n",
 		len(rep.Methods), rep.Nodes, rep.Edges, rep.TargetEdges, rep.ScoredMethods,
@@ -476,7 +460,7 @@ func writeEvalCSV(w io.Writer, rep *repro.EvalReport) error {
 // set (the digest backboned computes over a request body, so a
 // converted file is found by the daemon without further bookkeeping),
 // else -o, else the input path with its extension swapped to .bbg.
-func (a *app) runConvert(stdin io.Reader, stderr io.Writer) error {
+func (a *app) runConvert(ctx context.Context, stdin io.Reader, stderr io.Writer) error {
 	path := a.fs.Arg(0)
 	in := stdin
 	if path != "-" {
@@ -520,17 +504,11 @@ func (a *app) runConvert(stdin io.Reader, stderr io.Writer) error {
 		dst = strings.TrimSuffix(path, filepath.Ext(path)) + ".bbg"
 	}
 
-	f, commit, abort, err := atomicCreate(dst)
+	err = writeOutput(ctx, dst, nil, func(w io.Writer) error {
+		return repro.WriteGraph(w, g, repro.WithFormat("bbg"))
+	})
 	if err != nil {
 		return err
-	}
-	defer abort()
-	writeErr := repro.WriteGraph(f, g, repro.WithFormat("bbg"))
-	if writeErr == nil {
-		writeErr = commit()
-	}
-	if writeErr != nil {
-		return fmt.Errorf("write %s: %w", dst, writeErr)
 	}
 	info, err := os.Stat(dst)
 	if err != nil {
@@ -538,6 +516,34 @@ func (a *app) runConvert(stdin io.Reader, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "converted: %d nodes, %d edges -> %s (%d bytes)\n",
 		g.NumNodes(), g.NumEdges(), dst, info.Size())
+	return nil
+}
+
+// writeOutput writes one run's output through write: to stdout when
+// dst is "", else to a temporary file that replaces dst only once the
+// write succeeded and ctx is still live. Sync and close errors count:
+// a short write to a full disk must not exit 0 with a truncated file,
+// and a failed or cancelled write leaves the previous dst, if any,
+// intact and no temporary file behind.
+func writeOutput(ctx context.Context, dst string, stdout io.Writer, write func(io.Writer) error) error {
+	if dst == "" {
+		return write(stdout)
+	}
+	f, commit, abort, err := atomicCreate(dst)
+	if err != nil {
+		return err
+	}
+	defer abort()
+	err = write(f)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err == nil {
+		err = commit()
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", dst, err)
+	}
 	return nil
 }
 
@@ -592,7 +598,9 @@ func paramNames(m *repro.Method) string {
 	return strings.Join(names, ", ")
 }
 
-func (a *app) run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+// run executes one command line under ctx; cancelling ctx stops the run
+// and publishes no output file.
+func (a *app) run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	a.fs.SetOutput(stderr)
 	if err := a.fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -615,7 +623,7 @@ func (a *app) run(args []string, stdin io.Reader, stdout, stderr io.Writer) erro
 		if *a.eval {
 			return fmt.Errorf("-convert and -eval are mutually exclusive")
 		}
-		return a.runConvert(stdin, stderr)
+		return a.runConvert(ctx, stdin, stderr)
 	}
 
 	// Validate the flag combination — and, for -eval, the report
@@ -671,24 +679,12 @@ func (a *app) run(args []string, stdin io.Reader, stdout, stderr io.Writer) erro
 	}
 
 	if *a.eval {
-		return a.runEval(g, opts, evalFormat, readOpts, stdout, stderr)
+		return a.runEval(ctx, g, opts, evalFormat, readOpts, stdout, stderr)
 	}
 
-	res, sel, err := repro.SelectContext(context.Background(), g, opts...)
+	res, sel, err := repro.SelectContext(ctx, g, opts...)
 	if err != nil {
 		return err
-	}
-
-	w := stdout
-	var commit func() error
-	if *a.out != "" {
-		f, c, abort, err := atomicCreate(*a.out)
-		if err != nil {
-			return err
-		}
-		defer abort()
-		commit = c
-		w = f
 	}
 	var writeOpts []repro.IOOption
 	switch {
@@ -706,13 +702,11 @@ func (a *app) run(args []string, stdin io.Reader, stdout, stderr io.Writer) erro
 	if strings.HasSuffix(*a.out, ".gz") || strings.HasSuffix(*a.outfmt, ".gz") {
 		writeOpts = append(writeOpts, repro.WithGzip())
 	}
-	if err := repro.WriteSelection(w, sel, writeOpts...); err != nil {
+	err = writeOutput(ctx, *a.out, stdout, func(w io.Writer) error {
+		return repro.WriteSelection(w, sel, writeOpts...)
+	})
+	if err != nil {
 		return err
-	}
-	if commit != nil {
-		if err := commit(); err != nil {
-			return fmt.Errorf("write %s: %w", *a.out, err)
-		}
 	}
 	fmt.Fprintf(stderr, "input: %d nodes, %d edges; %s backbone: %d edges, %d non-isolated nodes (node coverage %.1f%%) in %v\n",
 		g.NumNodes(), g.NumEdges(), res.Method, sel.Len(), sel.NumConnected(),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -37,7 +38,7 @@ func TestCLIAllMethods(t *testing.T) {
 		t.Run(m.Name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			a := newApp()
-			if err := a.run([]string{"-method", m.Name, in}, nil, &stdout, &stderr); err != nil {
+			if err := a.run(context.Background(), []string{"-method", m.Name, in}, nil, &stdout, &stderr); err != nil {
 				t.Fatalf("%s: %v", m.Name, err)
 			}
 			// An empty backbone is legitimate at default parameters on a
@@ -70,7 +71,7 @@ func TestCLIMethodFlags(t *testing.T) {
 			}
 			args = append(args, in)
 			var stdout, stderr bytes.Buffer
-			if err := newApp().run(args, nil, &stdout, &stderr); err != nil {
+			if err := newApp().run(context.Background(), args, nil, &stdout, &stderr); err != nil {
 				t.Errorf("%s with -%s: %v", m.Name, p.Name, err)
 			}
 		}
@@ -106,7 +107,7 @@ func TestCLIDefaultsRoundTrip(t *testing.T) {
 func TestCLIKCoreK(t *testing.T) {
 	in := writeTestCSV(t)
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-method", "kcore", "-k", "3", in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-method", "kcore", "-k", "3", in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := repro.ReadGraph(strings.NewReader(stdout.String()), repro.WithFormat("csv"))
@@ -121,7 +122,7 @@ func TestCLIKCoreK(t *testing.T) {
 		t.Errorf("-k 3 kept %d edges, library says %d", got.NumEdges(), want.Backbone.NumEdges())
 	}
 	// -threshold belongs to nt, not kcore: explicit error, not silent reuse.
-	if err := newApp().run([]string{"-method", "kcore", "-threshold", "3", in}, nil, &stdout, &stderr); err == nil {
+	if err := newApp().run(context.Background(), []string{"-method", "kcore", "-threshold", "3", in}, nil, &stdout, &stderr); err == nil {
 		t.Error("kcore accepted -threshold")
 	}
 }
@@ -152,7 +153,7 @@ func TestCLIInvalidCombos(t *testing.T) {
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
-		if err := newApp().run(args, nil, &stdout, &stderr); err == nil {
+		if err := newApp().run(context.Background(), args, nil, &stdout, &stderr); err == nil {
 			t.Errorf("args %v accepted, want error", args[:len(args)-1])
 		}
 	}
@@ -167,7 +168,7 @@ func TestCLITopOverride(t *testing.T) {
 			continue
 		}
 		var stdout, stderr bytes.Buffer
-		if err := newApp().run([]string{"-method", m.Name, "-top", "3", in}, nil, &stdout, &stderr); err != nil {
+		if err := newApp().run(context.Background(), []string{"-method", m.Name, "-top", "3", in}, nil, &stdout, &stderr); err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
 		g, err := repro.ReadGraph(strings.NewReader(stdout.String()), repro.WithFormat("csv"))
@@ -183,7 +184,7 @@ func TestCLITopOverride(t *testing.T) {
 // TestCLIHelp: -h prints usage and is not an error (main exits 0).
 func TestCLIHelp(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := newApp().run([]string{"-h"}, nil, &stdout, &stderr)
+	err := newApp().run(context.Background(), []string{"-h"}, nil, &stdout, &stderr)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
 	}
@@ -194,7 +195,7 @@ func TestCLIHelp(t *testing.T) {
 
 func TestCLIList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-list"}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-list"}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range repro.Methods() {
@@ -212,7 +213,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-method", "nt", "-threshold", "5", "-o", out, in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-method", "nt", "-threshold", "5", "-o", out, in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -226,10 +227,10 @@ func TestRunEndToEnd(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Errorf("threshold 5 kept %d edges, want 2", g.NumEdges())
 	}
-	if err := newApp().run([]string{filepath.Join(dir, "missing.csv")}, nil, &stdout, &stderr); err == nil {
+	if err := newApp().run(context.Background(), []string{filepath.Join(dir, "missing.csv")}, nil, &stdout, &stderr); err == nil {
 		t.Error("missing input accepted")
 	}
-	if err := newApp().run([]string{"-method", "nc", "-parallel", "-"}, strings.NewReader(testCSV), &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-method", "nc", "-parallel", "-"}, strings.NewReader(testCSV), &stdout, &stderr); err != nil {
 		t.Errorf("stdin + parallel: %v", err)
 	}
 }
@@ -241,7 +242,7 @@ func TestCLIEval(t *testing.T) {
 	in := writeTestCSV(t)
 
 	var stdout, stderr bytes.Buffer
-	if err := newApp().run([]string{"-eval", in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-eval", in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	out := stdout.String()
@@ -255,7 +256,7 @@ func TestCLIEval(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if err := newApp().run([]string{"-eval", "-methods", "nc,df,mst", "-frac", "0.5", "-outformat", "csv", in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-eval", "-methods", "nc,df,mst", "-frac", "0.5", "-outformat", "csv", in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
@@ -267,7 +268,7 @@ func TestCLIEval(t *testing.T) {
 	}
 
 	stdout.Reset()
-	if err := newApp().run([]string{"-eval", "-methods", "nc", "-outformat", "json", in}, nil, &stdout, &stderr); err != nil {
+	if err := newApp().run(context.Background(), []string{"-eval", "-methods", "nc", "-outformat", "json", in}, nil, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	rep := &repro.EvalReport{}
@@ -283,16 +284,16 @@ func TestCLIEval(t *testing.T) {
 
 	// -eval with a ride-along parameter no selected method declares, or
 	// an unsupported output encoding, errors out.
-	if err := newApp().run([]string{"-eval", "-methods", "mst", "-delta", "1", in}, nil, &stdout, &stderr); err == nil {
+	if err := newApp().run(context.Background(), []string{"-eval", "-methods", "mst", "-delta", "1", in}, nil, &stdout, &stderr); err == nil {
 		t.Error("-eval accepted a ride-along no method declares")
 	}
-	if err := newApp().run([]string{"-eval", "-outformat", "ndjson", in}, nil, &stdout, &stderr); err == nil {
+	if err := newApp().run(context.Background(), []string{"-eval", "-outformat", "ndjson", in}, nil, &stdout, &stderr); err == nil {
 		t.Error("-eval accepted -outformat ndjson")
 	}
-	if err := newApp().run([]string{"-eval", "-top", "3", "-frac", "0.5", in}, nil, &stdout, &stderr); err == nil {
+	if err := newApp().run(context.Background(), []string{"-eval", "-top", "3", "-frac", "0.5", in}, nil, &stdout, &stderr); err == nil {
 		t.Error("-eval accepted -top with -frac")
 	}
-	if err := newApp().run([]string{"-eval", "-top", "0", in}, nil, &stdout, &stderr); err == nil {
+	if err := newApp().run(context.Background(), []string{"-eval", "-top", "0", in}, nil, &stdout, &stderr); err == nil {
 		t.Error("-eval accepted -top 0")
 	}
 }
@@ -319,7 +320,7 @@ func TestCLIEvalNextSnapshot(t *testing.T) {
 	evalStability := func(nextPath string) map[string]float64 {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
-		if err := newApp().run([]string{"-eval", "-methods", "nc,nt", "-frac", "0.5", "-next", nextPath, "-outformat", "json", in}, nil, &stdout, &stderr); err != nil {
+		if err := newApp().run(context.Background(), []string{"-eval", "-methods", "nc,nt", "-frac", "0.5", "-next", nextPath, "-outformat", "json", in}, nil, &stdout, &stderr); err != nil {
 			t.Fatal(err)
 		}
 		rep := &repro.EvalReport{}

@@ -46,7 +46,9 @@ type op struct {
 	// slot is held; nil runs the op outside the worker pool.
 	classify func(*call) (admission.Lane, string)
 	// resolve finds what the request works on (a parsed, mapped or
-	// cached graph, or a session); nil when there is nothing to find.
+	// cached graph, or a session) and, for a read, its sources; nil when
+	// there is nothing to find. What it locks it hands to call.release,
+	// which serve defers.
 	resolve func(*call) error
 	// execute does the work and writes the response, marking the call
 	// admission.OK before it writes.
@@ -70,10 +72,22 @@ type call struct {
 	// value and the creating body's digest it embeds.
 	id  string
 	sid [sha256.Size]byte
-	// Set by resolve.
+	// Set by resolve: what the request works on (a parsed, mapped or
+	// cached graph and its envelope, or a session's materialization).
 	g    *repro.Graph
 	env  *envelope
 	sess *session
+	// Also set by resolve, for a read: the pipeline options of its
+	// table and extraction sources, counted into t, and the input format
+	// the reply mirrors ("" for csv). A session read adds its own reply
+	// headers (rescored is the rows its score source re-scored) and the
+	// release of the session lock resolve took.
+	sources   []repro.Option
+	t         tally
+	outFormat string
+	headers   func(*call, http.Header)
+	rescored  int
+	release   func()
 	// outcome is reported to the admission limiter on release.
 	outcome admission.Outcome
 }
@@ -137,6 +151,11 @@ func (s *server) serve(o op) http.HandlerFunc {
 		var err error
 		if o.resolve != nil {
 			err = o.resolve(c)
+			// Deferred here, so a panicking execute or a -chaos partial
+			// abort still unlocks what resolve locked.
+			if c.release != nil {
+				defer c.release()
+			}
 		}
 		if err == nil {
 			err = o.execute(c)

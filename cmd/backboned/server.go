@@ -201,17 +201,17 @@ func newServer(cfg serverConfig) *server {
 	}
 	evaluate := stateless(s.classifyEvaluate, s.evaluate)
 	evaluate.counter = &s.evalRequests
-	s.mux.HandleFunc("/backbone", s.serve(stateless(classifyRun(false, s.cacheHeld, "cached"), s.runStateless(false))))
-	s.mux.HandleFunc("/score", s.serve(stateless(classifyRun(true, s.cacheHeld, "cached"), s.runStateless(true))))
+	s.mux.HandleFunc("/backbone", s.serve(stateless(classifyRun(false, s.cacheHeld, "cached"), s.run(false))))
+	s.mux.HandleFunc("/score", s.serve(stateless(classifyRun(true, s.cacheHeld, "cached"), s.run(true))))
 	s.mux.HandleFunc("/evaluate", s.serve(evaluate))
 	s.mux.HandleFunc("POST /session", s.serve(op{route: byBody,
 		classify: fixedLane(admission.Cold, "session-create"), resolve: s.resolveBody, execute: s.createSession}))
 	s.mux.HandleFunc("POST /session/{id}/update", s.serve(op{route: bySessionBody,
 		classify: fixedLane(admission.Fast, "session-update"), resolve: s.lookupSession, execute: s.updateSession}))
 	s.mux.HandleFunc("GET /session/{id}/backbone", s.serve(op{route: bySession,
-		classify: classifyRun(false, s.sessionHeld, "session-read"), resolve: s.lookupSession, execute: s.readSession(false)}))
+		classify: classifyRun(false, s.sessionHeld, "session-read"), resolve: s.resolveSessionRead, execute: s.run(false)}))
 	s.mux.HandleFunc("GET /session/{id}/score", s.serve(op{route: bySession,
-		classify: classifyRun(true, s.sessionHeld, "session-read"), resolve: s.lookupSession, execute: s.readSession(true)}))
+		classify: classifyRun(true, s.sessionHeld, "session-read"), resolve: s.resolveSessionRead, execute: s.run(true)}))
 	s.mux.HandleFunc("DELETE /session/{id}", s.serve(op{route: bySession, execute: s.deleteSession}))
 	return s
 }
@@ -642,7 +642,9 @@ func (s *server) mmapGraph(sum [sha256.Size]byte, directed bool) *repro.Graph {
 // lists (format from ?format=, the Content-Type, or sniffed) and JSON
 // envelopes, and a raw body with a pre-converted -graphdir twin is
 // memory-mapped instead of parsed (and instead of occupying LRU budget
-// — the mapping is shared and the page cache owns the bytes).
+// — the mapping is shared and the page cache owns the bytes). A read
+// of the body draws on the score cache's sources and mirrors its input
+// format.
 func (s *server) resolveBody(c *call) error {
 	if c.keyErr != nil {
 		return c.keyErr
@@ -673,30 +675,35 @@ func (s *server) resolveBody(c *call) error {
 		}
 		c.env = env
 		build = func() (*repro.Graph, error) { return buildEnvelopeGraph(env, c.key.directed) }
-	} else if mg := s.mmapGraph(c.key.sum, c.key.directed); mg != nil {
-		c.g = mg
-		return nil
+	} else {
+		c.g = s.mmapGraph(c.key.sum, c.key.directed)
 	}
-	g, _, err := s.graphs.Do(c.ctx, c.key, func() (*repro.Graph, int64, error) {
-		g, err := build()
+	if c.g == nil {
+		g, _, err := s.graphs.Do(c.ctx, c.key, func() (*repro.Graph, int64, error) {
+			g, err := build()
+			if err != nil {
+				return nil, 0, err
+			}
+			return g, graphCost(g), nil
+		})
 		if err != nil {
-			return nil, 0, err
+			return parseFailure(err)
 		}
-		return g, graphCost(g), nil
-	})
-	if err != nil {
-		return parseFailure(err)
+		c.g = g
 	}
-	c.g = g
+	if c.key.mode != "sniff" && c.key.mode != "envelope" {
+		c.outFormat = c.key.mode
+	}
+	c.sources = c.t.sources(s.cacheSources(c))
 	return nil
 }
 
 // parseRun reads a runRequest's method, options and response shaping
 // from the query string and, when the body was a JSON envelope, the
-// envelope's fields — the query overrides the envelope. outFormat is
-// the input format the response mirrors unless ?outformat= says
-// otherwise ("" for csv).
-func parseRun(c *call, outFormat string) (*runRequest, error) {
+// envelope's fields — the query overrides the envelope. The response
+// mirrors the input format resolve found (csv for none) unless
+// ?outformat= says otherwise.
+func parseRun(c *call) (*runRequest, error) {
 	methodName := "nc"
 	if c.env != nil && c.env.Method != "" {
 		methodName = c.env.Method
@@ -708,7 +715,7 @@ func parseRun(c *call, outFormat string) (*runRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &runRequest{method: m, opts: []repro.Option{repro.WithMethod(m.Name)}, outFormat: outFormat}
+	req := &runRequest{g: c.g, method: m, opts: []repro.Option{repro.WithMethod(m.Name)}, outFormat: c.outFormat}
 	if err := req.addOptions(c.q, c.env); err != nil {
 		return nil, err
 	}
@@ -955,56 +962,40 @@ func (s *server) classifyEvaluate(c *call) (admission.Lane, string) {
 	return cachedLane(methods, func(m *repro.Method) bool { return eval.Ranked(m, true) }, s.cacheHeld(c), "evaluate-cached", "evaluate")
 }
 
-// run is the execute step /backbone, /score and the session reads
-// share: the pipeline scores or cuts req.g reading the request's
-// sources, and the reply is written straight off the input graph, never
-// building the backbone as a graph. headers, when set, adds the
-// caller's own reply headers once the sources have been read.
-func (s *server) run(c *call, req *runRequest, scoreOnly bool, score repro.ScoreSource, extract repro.ExtractSource, headers func(http.Header)) error {
-	var t tally
-	opts := append(req.opts, t.sources(score, extract)...)
-	var (
-		scores *repro.Scores
-		res    *repro.Result
-		sel    repro.Selection
-		err    error
-	)
-	if scoreOnly {
-		scores, err = repro.ScoreContext(c.ctx, req.g, opts...)
-	} else if err = s.scoreGate(c.ctx); err == nil {
-		res, sel, err = repro.SelectContext(c.ctx, req.g, opts...)
-	}
-	if err != nil {
-		return err
-	}
-	c.w.Header().Set("X-Backbone-Cache", t.header())
-	if headers != nil {
-		headers(c.w.Header())
-	}
-	c.outcome = admission.OK
-	if scoreOnly {
-		return s.writeScores(c.w, req, scores)
-	}
-	return s.writeBackbone(c.w, req, res, sel)
-}
-
-// runStateless executes POST /backbone or /score on the resolved body
-// through the score cache. X-Backbone-Cache reports "hit" when a cached
-// table or extraction let the request skip both parsing and computing,
-// else "miss".
-func (s *server) runStateless(scoreOnly bool) func(*call) error {
+// run is the one execute of /backbone, /score and both session reads:
+// the pipeline scores or cuts the resolved graph reading the sources
+// resolve handed over, and the reply is written straight off the input
+// graph, never building the backbone as a graph. X-Backbone-Cache
+// reports "hit" when the sources computed nothing, else "miss".
+func (s *server) run(scoreOnly bool) func(*call) error {
 	return func(c *call) error {
-		outFormat := c.key.mode
-		if outFormat == "sniff" || outFormat == "envelope" {
-			outFormat = ""
-		}
-		req, err := parseRun(c, outFormat)
+		req, err := parseRun(c)
 		if err != nil {
 			return err
 		}
-		req.g = c.g
-		score, extract := s.cacheSources(c)
-		return s.run(c, req, scoreOnly, score, extract, nil)
+		opts := append(req.opts, c.sources...)
+		var (
+			scores *repro.Scores
+			res    *repro.Result
+			sel    repro.Selection
+		)
+		if scoreOnly {
+			scores, err = repro.ScoreContext(c.ctx, c.g, opts...)
+		} else if err = s.scoreGate(c.ctx); err == nil {
+			res, sel, err = repro.SelectContext(c.ctx, c.g, opts...)
+		}
+		if err != nil {
+			return err
+		}
+		c.w.Header().Set("X-Backbone-Cache", c.t.header())
+		if c.headers != nil {
+			c.headers(c, c.w.Header())
+		}
+		c.outcome = admission.OK
+		if scoreOnly {
+			return s.writeScores(c.w, req, scores)
+		}
+		return s.writeBackbone(c.w, req, res, sel)
 	}
 }
 
@@ -1036,15 +1027,14 @@ func (s *server) evaluate(c *call) error {
 	if err := req.addOptions(c.q, c.env); err != nil {
 		return err
 	}
-	var t tally
-	rep, err := repro.CompareContext(c.ctx, c.g, append(req.opts, t.sources(s.cacheSources(c))...)...)
+	rep, err := repro.CompareContext(c.ctx, c.g, append(req.opts, c.sources...)...)
 	if err != nil {
 		return err
 	}
 	c.outcome = admission.OK
 	s.evalCacheSkips.Add(uint64(rep.CacheHits))
 
-	c.w.Header().Set("X-Backbone-Cache", t.header())
+	c.w.Header().Set("X-Backbone-Cache", c.t.header())
 	c.w.Header().Set("X-Backbone-Eval-Methods", strconv.Itoa(len(rep.Methods)))
 	c.w.Header().Set("X-Backbone-Eval-Scored", strconv.Itoa(rep.ScoredMethods))
 	c.w.Header().Set("X-Backbone-Eval-Cached", strconv.Itoa(rep.CacheHits))

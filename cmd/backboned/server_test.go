@@ -1266,7 +1266,8 @@ func TestReadyzDrainFlip(t *testing.T) {
 // worker pool (acquire's doc comment names this test): a handler that
 // panics between acquire and release must still return its slot. With
 // a single-slot pool, leaking even one would make every later request
-// time out waiting for admission.
+// time out waiting for admission. A session read takes its session's
+// lock in resolve, and a panicking read must release that too.
 func TestPanickingHandlerReleasesSlot(t *testing.T) {
 	s := newServer(serverConfig{
 		workers: 1, timeout: time.Second, maxBody: 1 << 24,
@@ -1299,5 +1300,29 @@ func TestPanickingHandlerReleasesSlot(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d after panics: status %d (%s) — the pool leaked a slot", i, resp.StatusCode, body)
 		}
+	}
+
+	sc := openSession(t, ts.URL, bytes.NewBufferString("a,b,1\nb,c,2\n"))
+	sess := s.getSession(sc.id)
+	// A fresh connection per read: the transport silently retries a GET
+	// whose reused connection closed without a reply, and that retry
+	// would queue behind a leaked lock.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for i := 0; i < 2; i++ {
+		resp, err := client.Get(ts.URL + "/session/" + sc.id + "/backbone?method=panictest")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		// TryLock after each read, not a further read: a lock left held
+		// would hang the next read, and the test with it, instead of
+		// failing.
+		if !sess.mu.TryLock() {
+			t.Fatalf("panicking session read %d left its session locked", i)
+		}
+		sess.mu.Unlock()
+	}
+	if resp, body := sc.get("backbone", "method=nt"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("session read after panics: status %d (%s)", resp.StatusCode, body)
 	}
 }

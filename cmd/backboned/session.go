@@ -225,6 +225,8 @@ func (s *server) updateSession(c *call) error {
 		return errorf(http.StatusBadRequest, `update body has no updates (want {"updates":[{"src":...,"dst":...,"weight":...}]})`)
 	}
 
+	// Locked here rather than in resolve, so a large update body never
+	// decodes under the session lock.
 	sess := c.sess
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -272,13 +274,41 @@ func (s *server) updateSession(c *call) error {
 	return nil
 }
 
-// advance materializes the session's delta and keeps the dirty record
-// for the table reads that follow. Must hold sess.mu.
-func (sess *session) advance() *repro.Graph {
+// resolveSessionRead resolves GET /session/{id}/backbone and /score:
+// the stateless /backbone | /score contract evaluated against the
+// session's current (base + updates) edge set, incrementally. It takes
+// the session lock, which serve releases after the reply is written:
+// the reply is encoded straight off the materialization's arrays, which
+// the exclusive delta recycles on the next materialization. It then
+// materializes the delta, keeping the dirty record for the table reads
+// that follow, and hands run the session's sources.
+// X-Backbone-Rescored reports the rows the read re-scored.
+func (s *server) resolveSessionRead(c *call) error {
+	if err := s.lookupSession(c); err != nil {
+		return err
+	}
+	sess := c.sess
+	sess.mu.Lock()
+	c.release = sess.mu.Unlock
+	s.sessionReads.Add(1)
 	if g, dirty := sess.delta.Graph(); g != sess.g {
 		sess.g, sess.lastDirty = g, dirty
 	}
-	return sess.g
+	c.g = sess.g
+	score := func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
+		sc, n, err := s.sessionScores(ctx, sess, m)
+		c.rescored = n
+		return sc, n == 0, err
+	}
+	c.sources = c.t.sources(score, sess.extract)
+	c.headers = sessionHeaders
+	return nil
+}
+
+// sessionHeaders are a session read's own reply headers.
+func sessionHeaders(c *call, h http.Header) {
+	h.Set("X-Backbone-Session", c.id)
+	h.Set("X-Backbone-Rescored", strconv.Itoa(c.rescored))
 }
 
 // sessionScores brings one method's table forward to the session's
@@ -343,37 +373,6 @@ func (s *server) sessionHeld(c *call) held {
 			return ok
 		}
 		return sess.tables[m.Name] != nil
-	}
-}
-
-// readSession executes GET /session/{id}/backbone and /score: the
-// stateless /backbone | /score contract evaluated against the
-// session's current (base + updates) edge set, incrementally.
-// X-Backbone-Rescored reports the rows this read re-scored.
-func (s *server) readSession(scoreOnly bool) func(*call) error {
-	return func(c *call) error {
-		req, err := parseRun(c, "")
-		if err != nil {
-			return err
-		}
-		s.sessionReads.Add(1)
-		sess := c.sess
-		// Held until the reply is written: the reply is encoded straight
-		// off the materialization's arrays, which the exclusive delta
-		// recycles on the next materialization.
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		req.g = sess.advance()
-		rescored := 0
-		score := func(ctx context.Context, m *repro.Method) (*repro.Scores, bool, error) {
-			sc, n, err := s.sessionScores(ctx, sess, m)
-			rescored = n
-			return sc, n == 0, err
-		}
-		return s.run(c, req, scoreOnly, score, sess.extract, func(h http.Header) {
-			h.Set("X-Backbone-Session", c.id)
-			h.Set("X-Backbone-Rescored", strconv.Itoa(rescored))
-		})
 	}
 }
 

@@ -29,9 +29,9 @@ func CodeLength(g *graph.Graph, part []int) float64 {
 	// CSR-native: visit rates come from the precomputed strengths and
 	// exit rates from one pass over the canonical edge slice, with
 	// community labels densified into slice indices — no adjacency maps
-	// and no per-module maps. The adj-based codeLength below remains the
-	// optimizer substrate (aggregated supernode graphs carry self-loops)
-	// and the property-test oracle.
+	// and no per-module maps. The adj-based codeLength below is the
+	// optimizer's own objective (aggregated supernode graphs carry
+	// self-loops), and the property test compares the two.
 	dense, k := densified(part)
 	twoM := u.TotalWeight() // undirected TotalWeight counts each edge twice = 2m
 	qm := make([]float64, k)
@@ -59,10 +59,9 @@ func CodeLength(g *graph.Graph, part []int) float64 {
 	return plogp(sumQ) - 2*qTerm - nodeTerm + moduleTerm
 }
 
-// codeLength is the adjacency-map implementation, retained as the
-// Infomap optimizer's substrate (aggregated graphs carry self-loop
-// weights) and as the property-test oracle for the CSR-native
-// CodeLength above.
+// codeLength is the adjacency-map map equation Infomap optimizes
+// (aggregated graphs carry self-loop weights); the property test also
+// uses it as the oracle for the CSR-native CodeLength above.
 func (a *adj) codeLength(part []int) float64 {
 	if a.total == 0 {
 		return 0

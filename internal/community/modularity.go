@@ -22,9 +22,9 @@ func Modularity(g *graph.Graph, part []int) float64 {
 	}
 	// CSR-native: one pass over the canonical edge slice plus the
 	// precomputed strengths — no adjacency maps, no per-community maps
-	// (labels are densified into slice indices). The adj-based
-	// implementation below stays as the optimizer substrate and as the
-	// property-test oracle.
+	// (labels are densified into slice indices). Louvain's local moves
+	// run on the adjacency maps instead; the adj-based oracle the
+	// property test compares against lives in oracle_test.go.
 	dense, k := densified(part)
 	// For undirected graphs TotalWeight counts each edge twice, so it is
 	// exactly the 2m normalizer.
@@ -53,39 +53,6 @@ func Modularity(g *graph.Graph, part []int) float64 {
 func densified(part []int) ([]int, int) {
 	dense := append([]int(nil), part...)
 	return dense, densify(dense)
-}
-
-// modularity is the adjacency-map implementation, retained as the
-// property-test oracle for the CSR-native Modularity above (it also
-// handles the self-loop weights that only arise on aggregated
-// supernode graphs, which never reach the public entry point).
-func (a *adj) modularity(part []int) float64 {
-	if a.total == 0 {
-		return 0
-	}
-	twoM := 2 * a.total
-	// Per-community: internal weight (each edge once) and strength sum.
-	intw := map[int]float64{}
-	str := map[int]float64{}
-	for u := 0; u < a.n; u++ {
-		c := part[u]
-		str[c] += a.strength(u)
-		intw[c] += a.self[u]
-		for _, v := range sortedKeys(a.nbr[u]) {
-			if u < v && part[v] == c {
-				intw[c] += a.nbr[u][v]
-			}
-		}
-	}
-	q := 0.0
-	for _, c := range sortedKeys(intw) {
-		q += 2 * intw[c] / twoM
-	}
-	for _, c := range sortedKeys(str) {
-		s := str[c]
-		q -= (s / twoM) * (s / twoM)
-	}
-	return q
 }
 
 // Louvain greedily maximizes modularity with the two-phase method of

@@ -156,15 +156,15 @@ func WithParallel() Option {
 	return func(*config) {}
 }
 
-// WithScores supplies a precomputed significance table so Backbone can
-// skip scoring and go straight to pruning — the backboned daemon's
-// score cache rides on this. The table must belong to the same *Graph
-// value (enforced), and must have been produced by the selected
-// method — that pairing is the caller's contract and is not checked:
-// Scores.Method is the scorer's own name, which need not be the
-// registry entry's (nt's scorer is "naive"). Method parameters (delta,
-// alpha, ...) still apply: they only move the pruning threshold, never
-// the table itself.
+// WithScores supplies a precomputed significance table: Backbone skips
+// scoring and goes straight to pruning, and Score returns the table
+// itself. The table must belong to the same *Graph value (enforced, in
+// both), and must have been produced by the selected method — that
+// pairing is the caller's contract and is not checked: Scores.Method
+// is the scorer's own name, which need not be the registry entry's
+// (nt's scorer is "naive"). Method parameters (delta, alpha, ...)
+// still apply: they only move the pruning threshold, never the table
+// itself.
 func WithScores(s *Scores) Option {
 	return func(c *config) { c.scores = s }
 }
@@ -321,23 +321,9 @@ func cut(ctx context.Context, g *Graph, opts []Option) (*Result, Selection, erro
 	if err != nil {
 		return nil, Selection{}, err
 	}
-	if c.scores != nil && c.scores.G != g {
-		return nil, Selection{}, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
-	}
-	so := filter.ScoreOpts{Progress: c.progress}
-	table := func() (*Scores, error) { return m.ScoreCtx(ctx, g, so) }
-	switch {
-	case c.dirtySet:
-		if table, err = c.dirtyTable(ctx, g, m, so); err != nil {
-			return nil, Selection{}, err
-		}
-	case c.scores != nil:
-		table = func() (*Scores, error) { return c.scores, nil }
-	case c.scoreSource != nil:
-		table = func() (*Scores, error) {
-			s, _, err := c.scoreSource(ctx, m)
-			return s, err
-		}
+	table, err := c.table(ctx, g, m)
+	if err != nil {
+		return nil, Selection{}, err
 	}
 	var extract func() (Selection, error)
 	if c.extractSource != nil {
@@ -401,11 +387,13 @@ func Score(g *Graph, opts ...Option) (*Scores, error) {
 }
 
 // ScoreContext is Score under a context, with the same cancellation
-// semantics as BackboneContext. Every option check runs before any
-// work or source read. Pruning is a *ParamError, since a table is never
-// pruned; an undeclared parameter is one too, because although
-// parameters never change the table, naming one the method lacks is a
-// caller bug.
+// semantics as BackboneContext. The table comes from where Backbone's
+// would: WithDirtyScores re-scores the dirty rows, WithScores returns
+// its table as is, and a score source serves methods that score.
+// Every option check runs before any work or source read. Pruning is a
+// *ParamError, since a table is never pruned; an undeclared parameter
+// is one too, because although parameters never change the table,
+// naming one the method lacks is a caller bug.
 func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error) {
 	c, m, err := resolve(opts)
 	if err != nil {
@@ -422,32 +410,41 @@ func ScoreContext(ctx context.Context, g *Graph, opts ...Option) (*Scores, error
 	if _, err := m.Resolve(c.params); err != nil {
 		return nil, err
 	}
-	so := filter.ScoreOpts{Progress: c.progress}
-	if c.dirtySet {
-		table, err := c.dirtyTable(ctx, g, m, so)
-		if err != nil {
-			return nil, err
-		}
-		return table()
+	table, err := c.table(ctx, g, m)
+	if err != nil {
+		return nil, err
 	}
-	if c.scoreSource != nil && m.CanScore() {
-		s, _, err := c.scoreSource(ctx, m)
-		return s, err
-	}
-	return m.ScoreCtx(ctx, g, so)
+	return table()
 }
 
-// dirtyTable is the WithDirtyScores step Backbone and Score share:
-// check the option against g up front, and return the re-scoring that
-// brings the previous table forward for when the table is needed.
-func (c *config) dirtyTable(ctx context.Context, g *Graph, m *Method, so filter.ScoreOpts) (func() (*Scores, error), error) {
-	if c.dirty.For != g {
-		return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "dirty record describes a different graph"}
+// table picks where a run's table comes from, the one choice Backbone
+// and Score share: the re-scoring WithDirtyScores asks for, the
+// WithScores table, the score source (for methods that score), or
+// scoring g. Each option is checked against g up front; the returned
+// supplier does the work when the table is needed.
+func (c *config) table(ctx context.Context, g *Graph, m *Method) (func() (*Scores, error), error) {
+	so := filter.ScoreOpts{Progress: c.progress}
+	switch {
+	case c.dirtySet:
+		if c.dirty.For != g {
+			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "dirty record describes a different graph"}
+		}
+		return func() (*Scores, error) {
+			s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
+			return s, err
+		}, nil
+	case c.scores != nil:
+		if c.scores.G != g {
+			return nil, &ParamError{Method: m.Name, Param: "scores", Reason: "precomputed table belongs to a different graph"}
+		}
+		return func() (*Scores, error) { return c.scores, nil }, nil
+	case c.scoreSource != nil && m.CanScore():
+		return func() (*Scores, error) {
+			s, _, err := c.scoreSource(ctx, m)
+			return s, err
+		}, nil
 	}
-	return func() (*Scores, error) {
-		s, _, err := filter.RescoreDirty(ctx, m, c.dirtyOld, c.dirty, so)
-		return s, err
-	}, nil
+	return func() (*Scores, error) { return m.ScoreCtx(ctx, g, so) }, nil
 }
 
 // BackboneAll runs several methods concurrently on the same graph and

@@ -355,7 +355,20 @@ func TestWithScores(t *testing.T) {
 
 	other := pipelineGraph(t)
 	var pe *ParamError
-	if _, err := Backbone(other, WithMethod("nc"), WithScores(scores)); !errors.As(err, &pe) {
-		t.Errorf("foreign-graph table: err = %v, want *ParamError", err)
+	_, bbErr := Backbone(other, WithMethod("nc"), WithScores(scores))
+	if !errors.As(bbErr, &pe) {
+		t.Errorf("foreign-graph table: err = %v, want *ParamError", bbErr)
+	}
+
+	// Score reads the table where Backbone does: the supplied table
+	// itself, with nothing scored, and a foreign graph's table is the
+	// same refusal.
+	if s, err := Score(g, WithMethod("nc"), WithScores(scores)); err != nil || s != scores {
+		t.Errorf("Score with WithScores: got %p (err %v), want the supplied table %p", s, err, scores)
+	}
+	_, scErr := Score(other, WithMethod("nc"), WithScores(scores))
+	var scPE *ParamError
+	if !errors.As(scErr, &scPE) || scErr.Error() != bbErr.Error() || *scPE != *pe {
+		t.Errorf("Score foreign-graph table: err = %v, want Backbone's %v", scErr, bbErr)
 	}
 }
