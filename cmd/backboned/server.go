@@ -226,10 +226,12 @@ func graphCost(g *repro.Graph) int64 {
 	return cost
 }
 
-// scoresCost approximates a significance table's resident bytes. The
-// graph it references is accounted by the graph cache.
+// scoresCost approximates a significance table's resident bytes: its
+// columns, plus the worst case of the threshold cut it remembers (four
+// bytes a row for the kept ids, one bit a node for the touched-node
+// bitmap). The graph it references is accounted by the graph cache.
 func scoresCost(sc *repro.Scores) int64 {
-	cost := int64(len(sc.Score))*8 + 128
+	cost := int64(len(sc.Score))*12 + int64(sc.G.NumNodes()+63)/64*8 + 128
 	for _, col := range sc.Aux {
 		cost += int64(len(col)) * 8
 	}

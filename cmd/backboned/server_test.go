@@ -1061,6 +1061,38 @@ func TestStatszEndpoint(t *testing.T) {
 	}
 }
 
+// TestScoreCacheChargesCut: a cached table is charged its columns plus
+// the worst case of the threshold cut it remembers, four bytes a row
+// for the kept ids and one bit a node for the touched-node bitmap, so
+// the score cache's byte budget bounds what a hit keeps resident.
+func TestScoreCacheChargesCut(t *testing.T) {
+	_, ts := newTestServer(t, 2, 5*time.Second)
+	body := encodeGraph(t, testGraph(t, 400), "csv").Bytes()
+	g, err := repro.ReadGraph(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := repro.Score(g, repro.WithMethod("nc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := getStatsz(t, ts.URL)
+	resp, err := http.Post(ts.URL+"/backbone?method=nc", "text/csv", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	m, n := int64(g.NumEdges()), int64(g.NumNodes())
+	want := 8*m*int64(1+len(sc.Aux)) + 128 + 4*m + (n+63)/64*8
+	if got := getStatsz(t, ts.URL).ScoreCache.Bytes - before.ScoreCache.Bytes; got != want {
+		t.Errorf("score cache bytes +%d for one nc table of %d rows over %d nodes, want +%d", got, m, n, want)
+	}
+}
+
 // TestCacheDisabled: zero cache budgets mean every request is a miss
 // but still succeeds.
 func TestCacheDisabled(t *testing.T) {

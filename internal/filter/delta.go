@@ -12,6 +12,7 @@ package filter
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -71,6 +72,12 @@ type DeltaScorer struct {
 // records lack one), the full ScoreCtx path runs instead (and the
 // rescored count is the table size).
 //
+// On the incremental path the table also inherits old's last threshold
+// cut (see Scores.Select): old's kept rows move through the row diff,
+// and only the re-scored rows are compared against the cut again. A
+// read of the same cut on the new table then costs O(kept + rescored),
+// not a walk of the table. The fallback returns a table with no cut.
+//
 // With dirty.Exclusive the call consumes old — its columns become the
 // new table, shifted in place — even when it returns an error: a
 // cancelled exclusive call leaves old half-migrated, so the caller must
@@ -113,6 +120,9 @@ func RescoreDirty(ctx context.Context, m *Method, old *Scores, dirty graph.Dirty
 		}
 		rs.ScoreEdges(s, lo, hi)
 		rescored += hi - lo
+	}
+	if c := old.cut.Load(); c != nil {
+		carryCut(c, s, diff, rows)
 	}
 	return s, rescored, nil
 }
@@ -171,4 +181,51 @@ func migrateTable(old *Scores, g *graph.Graph, diff *graph.RowDiff, inPlace bool
 		}
 	}
 	return s
+}
+
+// carryCut makes c, the last cut of s's predecessor, s's own: a row
+// the diff copies kept its score bit for bit, so it stays on the side
+// of the cut it was on, while the re-scored rows (ascending, and
+// covering every row the diff does not copy) are compared again. The
+// kept ids of one copied run move as blocks between the re-scored
+// rows inside it, into one allocation.
+func carryCut(c *thresholdCut, s *Scores, diff *graph.RowDiff, rows []int32) {
+	old := c.sel.IDs
+	ids := make([]int32, 0, len(old)+len(rows))
+	for _, sc := range diff.Copies {
+		// Kept ids before the run were deleted or re-weighted.
+		lo, _ := slices.BinarySearch(old, sc.BaseLo)
+		hi, _ := slices.BinarySearch(old, sc.BaseLo+sc.Len)
+		run, shift := old[lo:hi], sc.ForLo-sc.BaseLo
+		old = old[hi:]
+		for len(run) > 0 {
+			k := len(run)
+			if len(rows) > 0 {
+				k, _ = slices.BinarySearch(run, rows[0]-shift)
+			}
+			n := len(ids)
+			ids = append(ids, run[:k]...)
+			if shift != 0 {
+				for i := n; i < len(ids); i++ {
+					ids[i] += shift
+				}
+			}
+			if run = run[k:]; len(run) == 0 {
+				break
+			}
+			if run[0]+shift == rows[0] {
+				run = run[1:] // re-scored: its new score decides
+			}
+			if s.Score[rows[0]] > c.t {
+				ids = append(ids, rows[0])
+			}
+			rows = rows[1:]
+		}
+	}
+	for _, id := range rows {
+		if s.Score[id] > c.t {
+			ids = append(ids, id)
+		}
+	}
+	s.remember(c.t, ids)
 }

@@ -12,12 +12,18 @@ package filter
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
 // Scores is a per-edge significance table over a graph's canonical edges.
+// A table is immutable once returned: G, Score and Aux do not change
+// after the call that produced it, so concurrent readers (score-cache
+// hits) may share it. The one exception is an exclusive RescoreDirty,
+// which consumes the table it is given.
 type Scores struct {
 	// G is the graph the scores refer to; Score[i] belongs to G.Edges()[i].
 	G *graph.Graph
@@ -32,6 +38,18 @@ type Scores struct {
 	Aux map[string][]float64
 	// Method names the producing algorithm.
 	Method string
+
+	// cut is the last threshold cut Select made or RescoreDirty carried
+	// forward.
+	cut atomic.Pointer[thresholdCut]
+}
+
+// thresholdCut is a table's remembered cut: the edges with Score > t,
+// and the bitmap of the nodes they touch, marked on first use.
+type thresholdCut struct {
+	t     float64
+	sel   graph.Selection
+	nodes graph.TouchedNodes
 }
 
 // Scorer computes an edge significance table for a graph.
@@ -75,12 +93,19 @@ func (s *Scores) Validate() error {
 	return nil
 }
 
-// Select returns the selection of edges with Score > t. One counting
-// pass sizes the id slice, so the cut costs one allocation. The fill
-// pass writes every id and advances past the kept ones only (into one
-// spare slot), which compiles without a branch on the score: a kept
-// share of a few percent would otherwise mispredict on most kept rows.
+// Select returns the selection of edges with Score > t. The table
+// remembers its last cut, so asking again for the same t (bit for bit)
+// returns that selection, touched-node bitmap included, without a walk
+// of the table; this relies on the table being immutable. Otherwise one
+// counting pass sizes the id slice, so the cut costs one allocation.
+// The fill pass writes every id and advances past the kept ones only
+// (into one spare slot), which compiles without a branch on the score:
+// a kept share of a few percent would otherwise mispredict on most kept
+// rows. The returned ids are shared and must not be modified.
 func (s *Scores) Select(t float64) graph.Selection {
+	if c := s.cut.Load(); c != nil && math.Float64bits(c.t) == math.Float64bits(t) {
+		return c.sel
+	}
 	n := s.CountAbove(t)
 	ids := make([]int32, n+1)
 	k := 0
@@ -90,7 +115,16 @@ func (s *Scores) Select(t float64) graph.Selection {
 			k++
 		}
 	}
-	return graph.Selection{G: s.G, IDs: ids[:n]}
+	return s.remember(t, ids[:n])
+}
+
+// remember makes ids, the edges with Score > t, the table's last cut
+// and returns them as a selection.
+func (s *Scores) remember(t float64, ids []int32) graph.Selection {
+	c := &thresholdCut{t: t}
+	c.sel = graph.SharedSelection(s.G, ids, &c.nodes)
+	s.cut.Store(c)
+	return c.sel
 }
 
 // Threshold returns the backbone keeping edges with Score > t.

@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Selection is the edge set a cut keeps over a base graph: the
 // ascending canonical edge ids of G it retains. A backbone is served
@@ -14,6 +17,26 @@ type Selection struct {
 	IDs []int32
 	// all selects every edge of G without listing their ids.
 	all bool
+	// nodes, when set, holds the bitmap of the nodes the selection
+	// touches, marked on first use and shared by every copy.
+	nodes *TouchedNodes
+}
+
+// TouchedNodes holds a shared selection's touched-node bitmap, marked
+// once. The zero value is ready to use.
+type TouchedNodes struct {
+	once sync.Once
+	set  nodeSet
+}
+
+// SharedSelection returns the selection of ids over g whose touched
+// nodes are marked at most once, into nodes, however many copies of it
+// count its nodes or check its labels, concurrently or not: for a
+// selection many reads serve, such as a score table's remembered cut.
+// ids must be ascending, without duplicates, and never change; nodes
+// must be fresh and serve this selection alone.
+func SharedSelection(g *Graph, ids []int32, nodes *TouchedNodes) Selection {
+	return Selection{G: g, IDs: ids, nodes: nodes}
 }
 
 // All returns the selection of every edge of g.
@@ -95,8 +118,18 @@ func (s Selection) NumConnected() int {
 	return n
 }
 
-// touched returns the bitmap of the nodes the selected edges touch.
+// touched returns the bitmap of the nodes the selected edges touch. A
+// shared selection's bitmap is marked once and must not be modified.
 func (s Selection) touched() nodeSet {
+	if s.nodes == nil {
+		return s.markTouched()
+	}
+	s.nodes.once.Do(func() { s.nodes.set = s.markTouched() })
+	return s.nodes.set
+}
+
+// markTouched marks the nodes the selected edges touch in a new bitmap.
+func (s Selection) markTouched() nodeSet {
 	set := make(nodeSet, (s.G.NumNodes()+63)/64)
 	for i := range s.Len() {
 		e := s.G.edges[s.ID(i)]
