@@ -176,7 +176,7 @@ func TestOverloadExpiredBudgetNeverScored(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d for pre-expired budget, want 504", resp.StatusCode)
 	}
-	if n := s.scores.Len(); n != 0 {
+	if n := s.scores.Stats().Entries; n != 0 {
 		t.Errorf("score cache has %d entries after a pre-expired request, want 0 (nothing may be scored)", n)
 	}
 	ast := fetchAdmissionStatsz(t, ts.URL)

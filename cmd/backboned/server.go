@@ -158,7 +158,7 @@ func newServer(cfg serverConfig) *server {
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
 	}
-	limiter, err := admission.NewLimiter(admission.Config{MaxConcurrent: cfg.workers, Adaptive: true})
+	limiter, err := admission.NewLimiter(admission.Config{MaxConcurrent: cfg.workers})
 	if err != nil {
 		// Unreachable: workers is floored to 1 above; fail loud rather
 		// than serve unbounded.
@@ -229,11 +229,16 @@ func graphCost(g *repro.Graph) int64 {
 // scoresCost approximates a significance table's resident bytes: its
 // columns, plus the worst case of the threshold cut it remembers (four
 // bytes a row for the kept ids, one bit a node for the touched-node
-// bitmap). The graph it references is accounted by the graph cache.
-func scoresCost(sc *repro.Scores) int64 {
+// bitmap). The request's graph g is accounted by the graph cache; a
+// view the table scored instead (hss and kcore score a directed
+// input's undirected view) lives only in the table and is charged here.
+func scoresCost(sc *repro.Scores, g *repro.Graph) int64 {
 	cost := int64(len(sc.Score))*12 + int64(sc.G.NumNodes()+63)/64*8 + 128
 	for _, col := range sc.Aux {
 		cost += int64(len(col)) * 8
+	}
+	if sc.G != g {
+		cost += graphCost(sc.G)
 	}
 	return cost
 }
@@ -815,7 +820,7 @@ func (s *server) cacheSources(c *call) (repro.ScoreSource, repro.ExtractSource) 
 			if err != nil {
 				return scoreEntry{}, 0, err
 			}
-			return scoreEntry{table: sc}, scoresCost(sc), nil
+			return scoreEntry{table: sc}, scoresCost(sc, c.g), nil
 		})
 		return e.table, hit, err
 	}

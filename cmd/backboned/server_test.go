@@ -1066,30 +1066,46 @@ func TestStatszEndpoint(t *testing.T) {
 // for the kept ids and one bit a node for the touched-node bitmap, so
 // the score cache's byte budget bounds what a hit keeps resident.
 func TestScoreCacheChargesCut(t *testing.T) {
-	_, ts := newTestServer(t, 2, 5*time.Second)
 	body := encodeGraph(t, testGraph(t, 400), "csv").Bytes()
-	g, err := repro.ReadGraph(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := repro.Score(g, repro.WithMethod("nc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := getStatsz(t, ts.URL)
-	resp, err := http.Post(ts.URL+"/backbone?method=nc", "text/csv", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	m, n := int64(g.NumEdges()), int64(g.NumNodes())
-	want := 8*m*int64(1+len(sc.Aux)) + 128 + 4*m + (n+63)/64*8
-	if got := getStatsz(t, ts.URL).ScoreCache.Bytes - before.ScoreCache.Bytes; got != want {
-		t.Errorf("score cache bytes +%d for one nc table of %d rows over %d nodes, want +%d", got, m, n, want)
+	for _, tc := range []struct {
+		method   string
+		directed bool
+	}{
+		{"nc", false},
+		// hss scores a directed input's undirected view, a graph the
+		// table alone holds: the charge covers it too.
+		{"hss", true},
+	} {
+		t.Run(fmt.Sprintf("%s/directed=%v", tc.method, tc.directed), func(t *testing.T) {
+			_, ts := newTestServer(t, 2, 5*time.Second)
+			g, err := repro.ReadGraph(bytes.NewReader(body), repro.WithDirected(tc.directed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := repro.Score(g, repro.WithMethod(tc.method))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := getStatsz(t, ts.URL)
+			url := fmt.Sprintf("%s/backbone?method=%s&directed=%v", ts.URL, tc.method, tc.directed)
+			resp, err := http.Post(url, "text/csv", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			m, n := int64(sc.G.NumEdges()), int64(sc.G.NumNodes())
+			want := 8*m*int64(1+len(sc.Aux)) + 128 + 4*m + (n+63)/64*8
+			if tc.directed {
+				want += graphCost(sc.G)
+			}
+			if got := getStatsz(t, ts.URL).ScoreCache.Bytes - before.ScoreCache.Bytes; got != want {
+				t.Errorf("score cache bytes +%d for one %s table of %d rows over %d nodes, want +%d", got, tc.method, m, n, want)
+			}
+		})
 	}
 }
 

@@ -122,10 +122,6 @@ type Config struct {
 	// MaxConcurrent is the hard concurrency cap (the daemon's
 	// -workers); the adaptive limit lives in [MinLimit, MaxConcurrent].
 	MaxConcurrent int
-	// Adaptive false pins the limit at MaxConcurrent, reproducing the
-	// static-semaphore behavior (lanes and deadline checks still
-	// apply).
-	Adaptive bool
 	// MinLimit floors the adaptive limit (default 1).
 	MinLimit int
 	// Tolerance: an execution latency above Tolerance x the key's
@@ -229,8 +225,8 @@ type Limiter struct {
 }
 
 // NewLimiter builds a limiter whose limit starts at the hard cap, so
-// an unloaded daemon behaves exactly like the static semaphore it
-// replaces.
+// an unloaded daemon behaves exactly like a static semaphore of
+// MaxConcurrent slots.
 func NewLimiter(cfg Config) (*Limiter, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -425,9 +421,6 @@ func (l *Limiter) retryAfterLocked(lane Lane) time.Duration {
 
 // adjustLocked is the AIMD step, driven by one released ticket.
 func (l *Limiter) adjustLocked(outcome Outcome, congested bool) {
-	if !l.cfg.Adaptive {
-		return
-	}
 	switch {
 	case outcome == Timeout || (outcome == OK && congested):
 		now := l.cfg.Clock.Now()
@@ -497,6 +490,8 @@ type LaneStats struct {
 
 // Stats is the limiter's /statsz snapshot.
 type Stats struct {
+	// Adaptive is always true: the limit always runs AIMD. /statsz
+	// keeps the key for its readers.
 	Adaptive        bool                  `json:"adaptive"`
 	Limit           float64               `json:"limit"`
 	MaxConcurrent   int                   `json:"max_concurrent"`
@@ -513,7 +508,7 @@ type Stats struct {
 func (l *Limiter) Stats() Stats {
 	l.mu.Lock()
 	st := Stats{
-		Adaptive:        l.cfg.Adaptive,
+		Adaptive:        true,
 		Limit:           math.Round(l.limit*100) / 100,
 		MaxConcurrent:   l.cfg.MaxConcurrent,
 		FastReserve:     l.cfg.FastReserve,

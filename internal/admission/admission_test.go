@@ -311,7 +311,7 @@ func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 func TestAIMDDecreaseOnCongestionAndTimeout(t *testing.T) {
 	clk := newFakeClock()
 	l := newTestLimiter(t, Config{
-		MaxConcurrent: 8, Adaptive: true, FastReserve: -1,
+		MaxConcurrent: 8, FastReserve: -1,
 		Tolerance: 2, DecreaseFactor: 0.75, DecreaseCooldown: time.Hour,
 		Clock: clk,
 	})
@@ -378,7 +378,7 @@ func TestAIMDDecreaseOnCongestionAndTimeout(t *testing.T) {
 func TestShrunkLimitGatesAdmission(t *testing.T) {
 	clk := newFakeClock()
 	l := newTestLimiter(t, Config{
-		MaxConcurrent: 4, Adaptive: true, FastReserve: -1,
+		MaxConcurrent: 4, FastReserve: -1,
 		MinLimit: 1, Tolerance: 2, DecreaseFactor: 0.25, Clock: clk,
 	})
 	// Baseline then one hard congestion event: limit 4 -> 1.
@@ -459,7 +459,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 // many goroutines across both lanes acquiring, releasing, and
 // abandoning waits. Afterward nothing may remain in flight or queued.
 func TestConcurrentStress(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 4, Adaptive: true})
+	l := newTestLimiter(t, Config{MaxConcurrent: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 24; g++ {
 		wg.Add(1)

@@ -1,6 +1,7 @@
 // Package cache provides a byte-bounded LRU memo cache with integrated
 // single-flight deduplication, the building block of the backboned
-// daemon's content-addressed request caching.
+// daemon's content-addressed request caching, and that single-flight
+// on its own (Flight), which the fleet's forwarder shares.
 //
 // The cache is generic over key and value: the daemon keys parsed
 // graphs by a content hash of the request body and score tables by
@@ -14,17 +15,17 @@ package cache
 import (
 	"container/list"
 	"context"
-	"errors"
 	"sync"
 )
 
-// Stats is a point-in-time snapshot of a cache's counters.
+// Stats is a point-in-time snapshot of a cache's counters. Every Do
+// call counts exactly once, under Hits, Misses or Coalesced.
 type Stats struct {
-	// Hits counts Do/Get calls answered from the cache.
+	// Hits counts Do calls answered from a cached entry.
 	Hits uint64 `json:"hits"`
-	// Misses counts Do calls that computed their value (Get misses too).
+	// Misses counts Do calls that ran their compute.
 	Misses uint64 `json:"misses"`
-	// Coalesced counts Do calls that joined another caller's in-flight
+	// Coalesced counts Do calls served by another caller's in-flight
 	// computation instead of starting their own.
 	Coalesced uint64 `json:"coalesced"`
 	// Evictions counts entries removed to honor the byte budget.
@@ -38,29 +39,22 @@ type Stats struct {
 
 // LRU is a concurrency-safe, byte-bounded, least-recently-used memo
 // cache with single-flight deduplication. A nil *LRU is a valid
-// always-miss cache: Do computes directly, Get always misses — so
-// callers can disable caching by configuration without branching.
+// always-miss cache: Do computes directly — so callers can disable
+// caching by configuration without branching.
 type LRU[K comparable, V any] struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	ll      *list.List // front = most recently used
-	items   map[K]*list.Element
-	flights map[K]*flight[V]
-	stats   Stats
+	mu     sync.Mutex
+	max    int64
+	bytes  int64
+	ll     *list.List // front = most recently used
+	items  map[K]*list.Element
+	stats  Stats
+	flight Flight[K, V]
 }
 
 type entry[K comparable, V any] struct {
 	key  K
 	v    V
 	cost int64
-}
-
-// flight is one in-progress computation other callers can wait on.
-type flight[V any] struct {
-	done chan struct{}
-	v    V
-	err  error
 }
 
 // New returns an LRU bounded to maxBytes of summed entry cost, or nil
@@ -70,10 +64,9 @@ func New[K comparable, V any](maxBytes int64) *LRU[K, V] {
 		return nil
 	}
 	return &LRU[K, V]{
-		max:     maxBytes,
-		ll:      list.New(),
-		items:   make(map[K]*list.Element),
-		flights: make(map[K]*flight[V]),
+		max:   maxBytes,
+		ll:    list.New(),
+		items: make(map[K]*list.Element),
 	}
 }
 
@@ -88,85 +81,48 @@ func (c *LRU[K, V]) Do(ctx context.Context, key K, compute func() (V, int64, err
 		v, _, err := compute()
 		return v, false, err
 	}
-	for {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			c.stats.Hits++
-			v := el.Value.(*entry[K, V]).v
-			c.mu.Unlock()
-			return v, true, nil
-		}
-		if f, ok := c.flights[key]; ok {
-			c.stats.Coalesced++
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					return f.v, true, nil
-				}
-				// The leader failed — possibly on its own context
-				// (cancel, timeout), which must not poison us. Retry;
-				// one waiter becomes the new leader.
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					var zero V
-					return zero, false, ctxErr
-				}
-				continue
-			case <-ctx.Done():
-				var zero V
-				return zero, false, ctx.Err()
-			}
-		}
-		f := &flight[V]{done: make(chan struct{})}
-		c.flights[key] = f
-		c.stats.Misses++
-		c.mu.Unlock()
-
-		c.lead(key, f, compute)
-		return f.v, false, f.err
+	if v, ok := c.lookup(key); ok {
+		return v, true, nil
 	}
+	computed := false
+	v, waited, err := c.flight.Do(ctx, key, func() (V, error) {
+		// A leader that finished between our lookup and this flight
+		// has stored its value already: check the entry again.
+		if v, ok := c.lookup(key); ok {
+			return v, nil
+		}
+		c.bump(&c.stats.Misses)
+		computed = true
+		v, cost, err := compute()
+		if err == nil {
+			// Stored before the flight ends, so no caller can miss
+			// both the entry and the flight.
+			c.mu.Lock()
+			c.add(key, v, cost)
+			c.mu.Unlock()
+		}
+		return v, err
+	})
+	if waited {
+		c.bump(&c.stats.Coalesced)
+	}
+	return v, err == nil && !computed, err
 }
 
-// errComputePanicked is what waiters observe when a leader's compute
-// panicked; they retry rather than inherit it.
-var errComputePanicked = errors.New("cache: compute panicked")
-
-// lead runs one computation as the flight's leader. The deferred
-// cleanup runs even if compute panics: the flight is removed and its
-// done channel closed (with an error set) so the key is never wedged —
-// waiters retry, and the panic itself keeps unwinding to the caller
-// (net/http's handler recovery, in the daemon).
-func (c *LRU[K, V]) lead(key K, f *flight[V], compute func() (V, int64, error)) {
-	var cost int64
-	completed := false
-	defer func() {
-		if !completed {
-			f.err = errComputePanicked
-		}
-		c.mu.Lock()
-		delete(c.flights, key)
-		if completed && f.err == nil {
-			c.add(key, f.v, cost)
-		}
-		c.mu.Unlock()
-		close(f.done)
-	}()
-	f.v, cost, f.err = compute()
-	completed = true
+// bump increments one of c.stats' counters.
+func (c *LRU[K, V]) bump(n *uint64) {
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
 }
 
-// Get returns the cached value for key without computing anything.
-func (c *LRU[K, V]) Get(key K) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
+// lookup returns key's entry, bumping its recency and the hit counter.
+func (c *LRU[K, V]) lookup(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.stats.Misses++
+		var zero V
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
@@ -188,19 +144,9 @@ func (c *LRU[K, V]) Contains(key K) bool {
 	return ok
 }
 
-// Add inserts (or refreshes) a value with the given cost, evicting
-// least-recently-used entries as needed.
-func (c *LRU[K, V]) Add(key K, v V, cost int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.add(key, v, cost)
-}
-
-// add inserts under c.mu. Values costing more than the whole budget
-// are not stored at all.
+// add inserts a key Do found absent under c.mu, evicting
+// least-recently-used entries as needed. Values costing more than the
+// whole budget are not stored at all.
 func (c *LRU[K, V]) add(key K, v V, cost int64) {
 	if cost < 0 {
 		cost = 0
@@ -208,15 +154,8 @@ func (c *LRU[K, V]) add(key K, v V, cost int64) {
 	if cost > c.max {
 		return
 	}
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry[K, V])
-		c.bytes += cost - e.cost
-		e.v, e.cost = v, cost
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, v: v, cost: cost})
-		c.bytes += cost
-	}
+	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, v: v, cost: cost})
+	c.bytes += cost
 	for c.bytes > c.max {
 		back := c.ll.Back()
 		if back == nil {
@@ -228,16 +167,6 @@ func (c *LRU[K, V]) add(key K, v V, cost int64) {
 		c.bytes -= e.cost
 		c.stats.Evictions++
 	}
-}
-
-// Len returns the current entry count.
-func (c *LRU[K, V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats returns a snapshot of the cache's counters. A nil cache

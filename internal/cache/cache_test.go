@@ -32,21 +32,41 @@ func TestDoComputesOnceAndCaches(t *testing.T) {
 	}
 }
 
+// put stores v under an absent key through Do.
+func put[K comparable, V any](t *testing.T, c *LRU[K, V], key K, v V, cost int64) {
+	t.Helper()
+	if _, hit, err := c.Do(context.Background(), key, func() (V, int64, error) { return v, cost, nil }); hit || err != nil {
+		t.Fatalf("put(%v) = hit %v, err %v", key, hit, err)
+	}
+}
+
+// cached returns key's entry through Do, failing the test when Do
+// has to compute it.
+func cached[K comparable, V any](t *testing.T, c *LRU[K, V], key K) V {
+	t.Helper()
+	v, hit, err := c.Do(context.Background(), key, func() (V, int64, error) {
+		var zero V
+		return zero, 0, errors.New("not cached")
+	})
+	if !hit || err != nil {
+		t.Fatalf("key %v not cached: hit %v, err %v", key, hit, err)
+	}
+	return v
+}
+
 func TestEvictionOrderAndBudget(t *testing.T) {
 	c := New[int, string](30)
 	for i := 0; i < 3; i++ {
-		c.Add(i, fmt.Sprint(i), 10) // fills the budget exactly
+		put(t, c, i, fmt.Sprint(i), 10) // fills the budget exactly
 	}
-	if _, ok := c.Get(0); !ok {
-		t.Fatal("entry 0 evicted prematurely")
-	}
+	cached(t, c, 0)
 	// Entry 0 is now most recent; adding one more must evict 1 (LRU).
-	c.Add(3, "3", 10)
-	if _, ok := c.Get(1); ok {
+	put(t, c, 3, "3", 10)
+	if c.Contains(1) {
 		t.Error("LRU entry 1 not evicted")
 	}
 	for _, want := range []int{0, 2, 3} {
-		if _, ok := c.Get(want); !ok {
+		if !c.Contains(want) {
 			t.Errorf("entry %d missing", want)
 		}
 	}
@@ -57,21 +77,9 @@ func TestEvictionOrderAndBudget(t *testing.T) {
 
 func TestOversizedValueNotStored(t *testing.T) {
 	c := New[string, int](10)
-	c.Add("big", 1, 100)
-	if c.Len() != 0 {
-		t.Errorf("oversized entry stored (len %d)", c.Len())
-	}
-}
-
-func TestReplaceAdjustsBytes(t *testing.T) {
-	c := New[string, int](100)
-	c.Add("k", 1, 40)
-	c.Add("k", 2, 10)
-	if s := c.Stats(); s.Bytes != 10 || s.Entries != 1 {
-		t.Errorf("stats after replace = %+v", s)
-	}
-	if v, ok := c.Get("k"); !ok || v != 2 {
-		t.Errorf("Get = %d,%v", v, ok)
+	put(t, c, "big", 1, 100)
+	if s := c.Stats(); s.Entries != 0 || s.Bytes != 0 {
+		t.Errorf("oversized entry stored: %+v", s)
 	}
 }
 
@@ -166,8 +174,8 @@ func TestLeaderFailureDoesNotPoisonWaiters(t *testing.T) {
 	if err := <-waiterDone; err != nil {
 		t.Errorf("waiter err = %v, want nil (retried)", err)
 	}
-	if v, ok := c.Get("k"); !ok || v != 9 {
-		t.Errorf("cache after retry = %d,%v", v, ok)
+	if v := cached(t, c, "k"); v != 9 {
+		t.Errorf("cache after retry = %d", v)
 	}
 }
 
@@ -202,11 +210,11 @@ func TestNilCache(t *testing.T) {
 	if v != 5 || hit || err != nil {
 		t.Errorf("nil Do = %d,%v,%v", v, hit, err)
 	}
-	if _, ok := c.Get("k"); ok {
-		t.Error("nil Get hit")
+	v, hit, err = c.Do(context.Background(), "k", func() (int, int64, error) { return 6, 1, nil })
+	if v != 6 || hit || err != nil {
+		t.Errorf("second nil Do = %d,%v,%v", v, hit, err)
 	}
-	c.Add("k", 1, 1)
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
+	if c.Stats() != (Stats{}) {
 		t.Error("nil cache retained state")
 	}
 	if c.Contains("k") {
@@ -219,14 +227,15 @@ func TestNilCache(t *testing.T) {
 // skew the hit/miss counters nor protect entries from eviction.
 func TestContainsIsStatsAndRecencyNeutral(t *testing.T) {
 	c := New[string, int](2)
-	c.Add("a", 1, 1)
-	c.Add("b", 2, 1)
+	put(t, c, "a", 1, 1)
+	put(t, c, "b", 2, 1)
 
+	before := c.Stats()
 	if !c.Contains("a") || !c.Contains("b") || c.Contains("missing") {
 		t.Fatal("Contains residency answers wrong")
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Contains moved counters: %+v", st)
+	if st := c.Stats(); st != before {
+		t.Fatalf("Contains moved counters: %+v, was %+v", st, before)
 	}
 
 	// Peeking "a" many times must not refresh it: "a" is still the LRU
@@ -234,7 +243,7 @@ func TestContainsIsStatsAndRecencyNeutral(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Contains("a")
 	}
-	c.Add("c", 3, 1)
+	put(t, c, "c", 3, 1)
 	if c.Contains("a") {
 		t.Error("Contains bumped recency: LRU entry survived eviction")
 	}
@@ -298,5 +307,37 @@ func TestLeaderPanicDoesNotWedgeKey(t *testing.T) {
 	v, _, err := c.Do(context.Background(), "k", func() (int, int64, error) { return 4, 1, nil })
 	if err != nil || v != 3 { // waiter's retry cached 3
 		t.Errorf("post-panic Do = %d,%v", v, err)
+	}
+}
+
+// TestEachCallCountsOnce: every Do call counts under exactly one of
+// Hits, Misses and Coalesced. A waiter whose leader fails and who then
+// computes itself is one miss, not a coalesce and a miss.
+func TestEachCallCountsOnce(t *testing.T) {
+	c := New[string, int](1 << 20)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		c.Do(context.Background(), "k", func() (int, int64, error) {
+			close(started)
+			<-release
+			return 0, 0, errors.New("leader failed")
+		})
+	}()
+	<-started
+	waiterDone := make(chan struct{})
+	go func() {
+		defer close(waiterDone)
+		c.Do(context.Background(), "k", func() (int, int64, error) { return 2, 1, nil })
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter join the flight
+	close(release)
+	<-leaderDone
+	<-waiterDone
+	cached(t, c, "k")
+	if s := c.Stats(); s.Misses != 2 || s.Coalesced != 0 || s.Hits != 1 {
+		t.Errorf("stats = %+v, want 2 misses, 0 coalesced, 1 hit", s)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/resilient"
 )
 
@@ -155,7 +156,22 @@ type Fleet struct {
 	attempt time.Duration
 	maxResp int64
 	logf    func(string, ...any)
-	flights flightGroup
+	// flights deduplicates identical concurrent forwards. Nothing is
+	// cached: response memoization belongs to the owning peer's
+	// content-addressed caches, not the forwarding hop.
+	flights cache.Flight[flightKey, *Response]
+}
+
+// flightKey identifies one forwardable computation: same body digest,
+// same endpoint, same query, same body interpretation (Content-Type).
+// Concurrent forwards with equal keys are served by one upstream
+// request between them.
+type flightKey struct {
+	digest      Digest
+	method      string
+	path        string
+	query       string
+	contentType string
 }
 
 // New validates the membership and builds the fleet. Self is added to
@@ -235,25 +251,22 @@ type Response struct {
 // back to local execution.
 var ErrPeerUnavailable = errors.New("fleet: peer unavailable")
 
-// Forward sends the request to addr (the digest's owner) and returns
-// its buffered response. Identical concurrent forwards coalesce into
-// one upstream request. Peer responses below 500 — including 4xx
-// caller mistakes, which every peer would answer identically — are
-// successes to relay as-is; transport errors, truncated bodies and
-// 5xx statuses are retried with backoff (a 503's Retry-After raises
-// the pause) until the attempt budget, the request deadline, or the
-// peer's breaker says stop, and the error then wraps
-// ErrPeerUnavailable.
-func (f *Fleet) Forward(ctx context.Context, addr string, d Digest, path, rawQuery, contentType, accept string, body []byte) (*Response, error) {
-	return f.ForwardRequest(ctx, addr, d, http.MethodPost, path, rawQuery, contentType, accept, body)
-}
-
-// ForwardRequest is Forward with an explicit HTTP method — session
+// ForwardRequest sends the request to addr (the digest's owner) and
+// returns its buffered response. Stateless runs are POSTs; session
 // reads ride rendezvous routing as GETs (nil body), session deletes as
-// DELETEs. The coalescing key includes the method, and d is the
-// caller's coalescing identity: for stateless runs the body digest, for
-// stateful session updates a digest of the update payload (two distinct
-// updates to one session must never collapse into one upstream call).
+// DELETEs. Identical concurrent forwards coalesce into one upstream
+// request (a cache.Flight). The coalescing key includes the method,
+// and d is the caller's coalescing identity: for stateless runs the
+// body digest, for stateful session updates a digest of the update
+// payload (two distinct updates to one session must never collapse
+// into one upstream call).
+//
+// Peer responses below 500 — including 4xx caller mistakes, which
+// every peer would answer identically — are successes to relay as-is;
+// transport errors, truncated bodies and 5xx statuses are retried with
+// backoff (a 503's Retry-After raises the pause) until the attempt
+// budget, the request deadline, or the peer's breaker says stop, and
+// the error then wraps ErrPeerUnavailable.
 func (f *Fleet) ForwardRequest(ctx context.Context, addr string, d Digest, method, path, rawQuery, contentType, accept string, body []byte) (*Response, error) {
 	p := f.peers[addr]
 	if p == nil || addr == f.self {
@@ -261,7 +274,7 @@ func (f *Fleet) ForwardRequest(ctx context.Context, addr string, d Digest, metho
 	}
 	p.forwards.Add(1)
 	key := flightKey{digest: d, method: method, path: path, query: rawQuery, contentType: contentType}
-	resp, _, err := f.flights.do(ctx, key, func() (*Response, error) {
+	resp, _, err := f.flights.Do(ctx, key, func() (*Response, error) {
 		var out *Response
 		err := f.retry.Do(ctx, func(ctx context.Context, attempt int) error {
 			if attempt > 0 {

@@ -66,7 +66,7 @@ func TestForwardRelaysResponse(t *testing.T) {
 	}), Config{})
 
 	body := "a,b,1\nb,c,2\n"
-	resp, err := f.Forward(context.Background(), addr, digestOf(body),
+	resp, err := f.ForwardRequest(context.Background(), addr, digestOf(body), http.MethodPost,
 		"/backbone", "method=nc&delta=1.64", "text/csv", "application/json", []byte(body))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestForwardRetriesThenSucceeds(t *testing.T) {
 		io.WriteString(w, "ok")
 	}), Config{})
 
-	resp, err := f.Forward(context.Background(), addr, digestOf("x"), "/backbone", "", "text/csv", "", []byte("x"))
+	resp, err := f.ForwardRequest(context.Background(), addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestForwardBreakerOpensAndFailsFast(t *testing.T) {
 		Breaker: resilient.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
 	})
 
-	_, err := f.Forward(context.Background(), addr, digestOf("x"), "/backbone", "", "text/csv", "", []byte("x"))
+	_, err := f.ForwardRequest(context.Background(), addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
 	if !errors.Is(err, ErrPeerUnavailable) {
 		t.Fatalf("err = %v, want ErrPeerUnavailable", err)
 	}
@@ -153,7 +153,7 @@ func TestForwardBreakerOpensAndFailsFast(t *testing.T) {
 		t.Fatalf("breaker = %v after threshold failures, want open", st)
 	}
 
-	_, err = f.Forward(context.Background(), addr, digestOf("y"), "/backbone", "", "text/csv", "", []byte("y"))
+	_, err = f.ForwardRequest(context.Background(), addr, digestOf("y"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("y"))
 	if !errors.Is(err, ErrPeerUnavailable) || !errors.Is(err, resilient.ErrOpen) {
 		t.Fatalf("err = %v, want ErrPeerUnavailable wrapping ErrOpen", err)
 	}
@@ -179,7 +179,7 @@ func TestForwardSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := f.Forward(context.Background(), addr, digestOf("same"), "/backbone", "top=5", "text/csv", "", []byte("same"))
+			resp, err := f.ForwardRequest(context.Background(), addr, digestOf("same"), http.MethodPost, "/backbone", "top=5", "text/csv", "", []byte("same"))
 			if err != nil {
 				errs <- err
 				return
@@ -198,7 +198,7 @@ func TestForwardSingleFlight(t *testing.T) {
 		t.Errorf("backend saw %d requests for one flight key, want 1", got)
 	}
 	// A different query is a different computation: no coalescing.
-	if _, err := f.Forward(context.Background(), addr, digestOf("same"), "/backbone", "top=9", "text/csv", "", []byte("same")); err != nil {
+	if _, err := f.ForwardRequest(context.Background(), addr, digestOf("same"), http.MethodPost, "/backbone", "top=9", "text/csv", "", []byte("same")); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -215,7 +215,7 @@ func TestForwardCallerErrorsRelayedNotRetried(t *testing.T) {
 		http.Error(w, `{"error":"unknown method"}`, http.StatusBadRequest)
 	}), Config{})
 
-	resp, err := f.Forward(context.Background(), addr, digestOf("x"), "/backbone", "method=bogus", "text/csv", "", []byte("x"))
+	resp, err := f.ForwardRequest(context.Background(), addr, digestOf("x"), http.MethodPost, "/backbone", "method=bogus", "text/csv", "", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestForwardDeadPeerFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = f.Forward(context.Background(), addr, digestOf("x"), "/backbone", "", "text/csv", "", []byte("x"))
+	_, err = f.ForwardRequest(context.Background(), addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
 	if !errors.Is(err, ErrPeerUnavailable) {
 		t.Fatalf("err = %v, want ErrPeerUnavailable", err)
 	}
@@ -263,7 +263,7 @@ func TestForwardHonorsRequestDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	_, err := f.Forward(ctx, addr, digestOf("x"), "/backbone", "", "text/csv", "", []byte("x"))
+	_, err := f.ForwardRequest(ctx, addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
 	if err == nil {
 		t.Fatal("forward succeeded against an always-500 peer")
 	}
@@ -292,7 +292,7 @@ func TestForwardRetryAfterHint(t *testing.T) {
 		Rand:        func(n int64) int64 { return 0 },
 	}})
 
-	resp, err := f.Forward(context.Background(), addr, digestOf("x"), "/backbone", "", "text/csv", "", []byte("x"))
+	resp, err := f.ForwardRequest(context.Background(), addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,34 +58,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// LogBinomialCoef returns log C(n, k) via log-gamma.
-func LogBinomialCoef(n, k float64) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	ln, _ := math.Lgamma(n + 1)
-	lk, _ := math.Lgamma(k + 1)
-	lnk, _ := math.Lgamma(n - k + 1)
-	return ln - lk - lnk
-}
-
-// BinomialLogPMF returns log P(X = k) for X ~ Binomial(n, p).
-func BinomialLogPMF(k, n, p float64) float64 {
-	if p <= 0 {
-		if k == 0 {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		if k == n {
-			return 0
-		}
-		return math.Inf(-1)
-	}
-	return LogBinomialCoef(n, k) + k*math.Log(p) + (n-k)*math.Log1p(-p)
-}
-
 // BinomialSF returns the upper tail P(X >= k) for X ~ Binomial(n, p),
 // computed through the regularized incomplete beta function:
 // P(X >= k) = I_p(k, n-k+1). This is the p-value of the footnote-2
@@ -167,16 +139,7 @@ func betaCF(a, b, x float64) float64 {
 	return h
 }
 
-// BetaMoments returns the mean and variance of a Beta(alpha, beta)
-// distribution (paper Eqs. 5 and 6).
-func BetaMoments(alpha, beta float64) (mean, variance float64) {
-	s := alpha + beta
-	mean = alpha / s
-	variance = alpha * beta / (s * s * (s + 1))
-	return mean, variance
-}
-
-// BetaFromMoments inverts BetaMoments: given a target mean mu in (0,1)
+// BetaFromMoments inverts the Beta moments (paper Eqs. 5 and 6): given a target mean mu in (0,1)
 // and variance sigma2 in (0, mu(1-mu)), it returns the alpha and beta
 // parameters (paper Eqs. 7 and 8). It is the moment-matching step that
 // turns the hypergeometric prior moments into a conjugate Beta prior in
