@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -36,10 +37,19 @@ type fleetHarness struct {
 	httpds  []*http.Server
 }
 
+// frozenClock never moves and never waits: retry pauses cost nothing,
+// and a breaker that opens mid-test stays observably open instead of
+// racing the assertions through half-open probes.
+type frozenClock struct{ now time.Time }
+
+func (c frozenClock) Now() time.Time { return c.now }
+
+func (frozenClock) Sleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+
 // startFleet boots n peers wired into one fleet. faults chaos-injects
-// into the local serving path of the peer at that index. The retry,
-// breaker and timeout tuning keeps failure detection well under a
-// second so the kill tests stay fast.
+// into the local serving path of the peer at that index. The frozen
+// clock and the timeout keep failure detection well under a second so
+// the kill tests stay fast.
 func startFleet(t *testing.T, n int, faults map[int]*resilient.Fault) *fleetHarness {
 	t.Helper()
 	h := &fleetHarness{}
@@ -57,11 +67,7 @@ func startFleet(t *testing.T, n int, faults map[int]*resilient.Fault) *fleetHarn
 			Self:           h.addrs[i],
 			Peers:          h.addrs,
 			AttemptTimeout: 2 * time.Second,
-			Retry:          resilient.Retry{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
-			// Cooldown an hour: once a breaker opens mid-test it stays
-			// observably open instead of racing the assertions through
-			// half-open probes.
-			Breaker: resilient.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
+			Clock:          frozenClock{now: time.Now()},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -152,21 +152,12 @@ type server struct {
 }
 
 func newServer(cfg serverConfig) *server {
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
 	if cfg.logf == nil {
 		cfg.logf = func(string, ...any) {}
 	}
-	limiter, err := admission.NewLimiter(admission.Config{MaxConcurrent: cfg.workers})
-	if err != nil {
-		// Unreachable: workers is floored to 1 above; fail loud rather
-		// than serve unbounded.
-		panic(err)
-	}
 	s := &server{
 		mux:       http.NewServeMux(),
-		limiter:   limiter,
+		limiter:   admission.NewLimiter(admission.Config{MaxConcurrent: cfg.workers}),
 		timeout:   cfg.timeout,
 		maxBody:   cfg.maxBody,
 		logf:      cfg.logf,

@@ -62,7 +62,6 @@ type session struct {
 	extracts map[string]repro.Selection
 	applied  uint64 // total updates accepted
 
-	created  time.Time
 	lastUsed time.Time // guarded by server.sessMu
 }
 
@@ -178,7 +177,6 @@ func (s *server) createSession(c *call) error {
 		lastDirty: graph.Dirty{For: c.g},
 		tables:    map[string]*repro.Scores{},
 		extracts:  map[string]repro.Selection{},
-		created:   time.Now(),
 	})
 	s.sessionCreates.Add(1)
 

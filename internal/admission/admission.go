@@ -4,23 +4,27 @@
 //   - An adaptive concurrency limiter: AIMD on observed per-key
 //     *execution* latency (admission to release, queue wait excluded).
 //     Good completions grow the limit additively toward the hard cap;
-//     a completion whose execution latency blows past Tolerance x the
-//     key's recent best — or one that dies on its deadline mid-run —
-//     shrinks it multiplicatively. Measuring execution (not total)
-//     latency matters: queue wait under overload is the queue doing
-//     its job, while execution inflation means the workers themselves
-//     are contending and concurrency should drop.
+//     a completion whose execution latency blows past tolerance (4) x
+//     the key's recent best — or one that dies on its deadline mid-run —
+//     shrinks it by decreaseFactor (0.75), at most once per
+//     decreaseCooldown (250ms), never below minLimit (1). Measuring
+//     execution (not total) latency matters: queue wait under overload
+//     is the queue doing its job, while execution inflation means the
+//     workers themselves are contending and concurrency should drop.
 //
-//   - A deadline-aware queue: a request whose remaining budget cannot
+//   - A deadline-aware queue of at most 8 x MaxConcurrent waiters per
+//     lane (at least 32): a request whose remaining budget cannot
 //     cover the observed p90 cost of its work plus the predicted drain
 //     time of the queue ahead of it is failed immediately with a
-//     Retry-After computed from queue depth, instead of burning a slot
-//     (or queue residence) on a response nobody will wait for.
+//     Retry-After computed from queue depth (defaultCost, 100ms, per
+//     slot before any samples exist; capped at retryAfterCap, 30s),
+//     instead of burning a slot (or queue residence) on a response
+//     nobody will wait for.
 //
 //   - Two priority lanes: Fast (cache-hit / mmap-served work) is
-//     always popped before Cold (full scoring), and FastReserve slots
-//     are kept free of cold work, so cheap requests stay cheap while
-//     the cold lane sheds.
+//     always popped before Cold (full scoring), and from two slots up
+//     one slot is kept free of cold work, so cheap requests stay cheap
+//     while the cold lane sheds.
 package admission
 
 import (
@@ -116,83 +120,34 @@ func (e *ShedError) RetryAfterSeconds() int {
 	return s
 }
 
-// Config tunes a Limiter. The zero value of every field applies the
-// default documented on it; MaxConcurrent is required.
+// The limiter's tuning. Each is the one value the daemon runs with.
+const (
+	// minLimit floors the adaptive limit.
+	minLimit = 1
+	// tolerance: an execution latency above tolerance x the key's
+	// window-best counts as congestion.
+	tolerance = 4
+	// decreaseFactor is the multiplicative decrease.
+	decreaseFactor = 0.75
+	// decreaseCooldown spaces decreases so one burst of slow
+	// completions — all observing the same congestion event — cannot
+	// collapse the limit.
+	decreaseCooldown = 250 * time.Millisecond
+	// defaultCost seeds Retry-After computation before any latency
+	// samples exist.
+	defaultCost = 100 * time.Millisecond
+	// retryAfterCap bounds the computed Retry-After.
+	retryAfterCap = 30 * time.Second
+)
+
+// Config configures a Limiter.
 type Config struct {
 	// MaxConcurrent is the hard concurrency cap (the daemon's
-	// -workers); the adaptive limit lives in [MinLimit, MaxConcurrent].
+	// -workers); the adaptive limit lives in [minLimit, MaxConcurrent].
+	// Values below 1 mean 1.
 	MaxConcurrent int
-	// MinLimit floors the adaptive limit (default 1).
-	MinLimit int
-	// Tolerance: an execution latency above Tolerance x the key's
-	// window-best counts as congestion (default 4).
-	Tolerance float64
-	// DecreaseFactor is the multiplicative decrease (default 0.75).
-	DecreaseFactor float64
-	// DecreaseCooldown spaces decreases so one burst of slow
-	// completions — all observing the same congestion event — cannot
-	// collapse the limit (default 250ms).
-	DecreaseCooldown time.Duration
-	// MaxQueue bounds each lane's wait queue (default 8x
-	// MaxConcurrent, minimum 32).
-	MaxQueue int
-	// FastReserve is how many slots cold work may never occupy, kept
-	// free for fast-lane arrivals (default 1 when MaxConcurrent >= 2;
-	// set negative to disable).
-	FastReserve int
-	// DefaultCost seeds Retry-After computation before any latency
-	// samples exist (default 100ms).
-	DefaultCost time.Duration
-	// RetryAfterCap bounds the computed Retry-After (default 30s).
-	RetryAfterCap time.Duration
 	// Clock defaults to resilient.SystemClock.
 	Clock resilient.Clock
-}
-
-func (cfg *Config) applyDefaults() error {
-	if cfg.MaxConcurrent <= 0 {
-		return fmt.Errorf("admission: MaxConcurrent must be positive, got %d", cfg.MaxConcurrent)
-	}
-	if cfg.MinLimit <= 0 {
-		cfg.MinLimit = 1
-	}
-	if cfg.MinLimit > cfg.MaxConcurrent {
-		cfg.MinLimit = cfg.MaxConcurrent
-	}
-	if cfg.Tolerance <= 1 {
-		cfg.Tolerance = 4
-	}
-	if cfg.DecreaseFactor <= 0 || cfg.DecreaseFactor >= 1 {
-		cfg.DecreaseFactor = 0.75
-	}
-	if cfg.DecreaseCooldown <= 0 {
-		cfg.DecreaseCooldown = 250 * time.Millisecond
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 8 * cfg.MaxConcurrent
-		if cfg.MaxQueue < 32 {
-			cfg.MaxQueue = 32
-		}
-	}
-	switch {
-	case cfg.FastReserve < 0:
-		cfg.FastReserve = 0
-	case cfg.FastReserve == 0 && cfg.MaxConcurrent >= 2:
-		cfg.FastReserve = 1
-	}
-	if cfg.FastReserve >= cfg.MaxConcurrent {
-		cfg.FastReserve = cfg.MaxConcurrent - 1
-	}
-	if cfg.DefaultCost <= 0 {
-		cfg.DefaultCost = 100 * time.Millisecond
-	}
-	if cfg.RetryAfterCap <= 0 {
-		cfg.RetryAfterCap = 30 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = resilient.SystemClock
-	}
-	return nil
 }
 
 // waiter is one queued acquisition; the admitting goroutine builds the
@@ -206,11 +161,17 @@ type waiter struct {
 
 // Limiter is the adaptive, lane-aware admission controller.
 type Limiter struct {
-	cfg     Config
-	tracker *Tracker
+	clock         resilient.Clock
+	maxConcurrent int
+	// maxQueue bounds each lane's wait queue.
+	maxQueue int
+	// fastReserve is how many slots cold work may never occupy, kept
+	// free for fast-lane arrivals.
+	fastReserve int
+	tracker     *Tracker
 
 	mu           sync.Mutex
-	limit        float64 // adaptive limit in [MinLimit, MaxConcurrent]
+	limit        float64 // adaptive limit in [minLimit, maxConcurrent]
 	inFlight     [numLanes]int
 	queues       [numLanes]*list.List // of *waiter
 	lastDecrease time.Time
@@ -227,31 +188,31 @@ type Limiter struct {
 // NewLimiter builds a limiter whose limit starts at the hard cap, so
 // an unloaded daemon behaves exactly like a static semaphore of
 // MaxConcurrent slots.
-func NewLimiter(cfg Config) (*Limiter, error) {
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
-	}
+func NewLimiter(cfg Config) *Limiter {
+	maxConc := max(cfg.MaxConcurrent, 1)
 	l := &Limiter{
-		cfg:     cfg,
-		tracker: NewTracker(),
-		limit:   float64(cfg.MaxConcurrent),
+		clock:         cfg.Clock,
+		maxConcurrent: maxConc,
+		maxQueue:      max(8*maxConc, 32),
+		fastReserve:   min(1, maxConc-1),
+		tracker:       NewTracker(),
+		limit:         float64(maxConc),
+	}
+	if l.clock == nil {
+		l.clock = resilient.SystemClock
 	}
 	for i := range l.queues {
 		l.queues[i] = list.New()
 	}
-	return l, nil
+	return l
 }
-
-// Tracker exposes the latency tracker (the daemon seeds nothing; tests
-// and diagnostics read it).
-func (l *Limiter) Tracker() *Tracker { return l.tracker }
 
 // Acquire admits the request, queues it, or rejects it. A nil error
 // obliges the caller to Release the ticket exactly once. ErrExpired
 // means the context deadline had already passed on arrival; a
 // *ShedError carries the shed reason and the computed Retry-After.
 func (l *Limiter) Acquire(ctx context.Context, lane Lane, key string) (*Ticket, error) {
-	now := l.cfg.Clock.Now()
+	now := l.clock.Now()
 	hasDeadline := false
 	var remaining time.Duration
 	if dl, ok := ctx.Deadline(); ok {
@@ -279,7 +240,7 @@ func (l *Limiter) Acquire(ctx context.Context, lane Lane, key string) (*Ticket, 
 		l.mu.Unlock()
 		return t, nil
 	}
-	if l.queues[lane].Len() >= l.cfg.MaxQueue {
+	if l.queues[lane].Len() >= l.maxQueue {
 		l.sheds[lane]++
 		ra := l.retryAfterLocked(lane)
 		l.mu.Unlock()
@@ -322,7 +283,7 @@ func (l *Limiter) admissibleLocked(lane Lane) bool {
 		return false
 	}
 	if lane == Cold {
-		coldMax := eff - l.cfg.FastReserve
+		coldMax := eff - l.fastReserve
 		if coldMax < 1 {
 			coldMax = 1
 		}
@@ -336,11 +297,11 @@ func (l *Limiter) admissibleLocked(lane Lane) bool {
 // effLimitLocked is the adaptive limit as a whole slot count.
 func (l *Limiter) effLimitLocked() int {
 	eff := int(math.Round(l.limit))
-	if eff < l.cfg.MinLimit {
-		eff = l.cfg.MinLimit
+	if eff < minLimit {
+		eff = minLimit
 	}
-	if eff > l.cfg.MaxConcurrent {
-		eff = l.cfg.MaxConcurrent
+	if eff > l.maxConcurrent {
+		eff = l.maxConcurrent
 	}
 	return eff
 }
@@ -349,7 +310,7 @@ func (l *Limiter) effLimitLocked() int {
 func (l *Limiter) grantLocked(lane Lane, key string) *Ticket {
 	l.inFlight[lane]++
 	l.admitted[lane]++
-	return &Ticket{l: l, lane: lane, key: key, start: l.cfg.Clock.Now()}
+	return &Ticket{l: l, lane: lane, key: key, start: l.clock.Now()}
 }
 
 // promoteLocked drains every admissible waiter, fast lane first. It
@@ -400,12 +361,12 @@ func (l *Limiter) predictedCostLocked(lane Lane, key string) (time.Duration, boo
 
 // retryAfterLocked computes the 503 hint from queue depth: how long
 // until the work ahead of a hypothetical new arrival has drained, at
-// the lane-aggregate p90 per slot. Clamped to [1s, RetryAfterCap];
-// with no samples yet DefaultCost keeps it at the 1s floor.
+// the lane-aggregate p90 per slot, or defaultCost per slot before the
+// lane has samples. Clamped to [1s, retryAfterCap].
 func (l *Limiter) retryAfterLocked(lane Lane) time.Duration {
 	cost, ok := l.tracker.P90(laneKey(lane))
 	if !ok {
-		cost = l.cfg.DefaultCost
+		cost = defaultCost
 	}
 	ahead := 1 + l.queues[Fast].Len() + l.queues[Cold].Len() + l.inFlight[Fast] + l.inFlight[Cold]
 	eff := l.effLimitLocked()
@@ -413,8 +374,8 @@ func (l *Limiter) retryAfterLocked(lane Lane) time.Duration {
 	if d < time.Second {
 		d = time.Second
 	}
-	if d > l.cfg.RetryAfterCap {
-		d = l.cfg.RetryAfterCap
+	if d > retryAfterCap {
+		d = retryAfterCap
 	}
 	return d
 }
@@ -423,20 +384,20 @@ func (l *Limiter) retryAfterLocked(lane Lane) time.Duration {
 func (l *Limiter) adjustLocked(outcome Outcome, congested bool) {
 	switch {
 	case outcome == Timeout || (outcome == OK && congested):
-		now := l.cfg.Clock.Now()
-		if l.decreased && now.Sub(l.lastDecrease) < l.cfg.DecreaseCooldown {
+		now := l.clock.Now()
+		if l.decreased && now.Sub(l.lastDecrease) < decreaseCooldown {
 			return
 		}
-		l.limit *= l.cfg.DecreaseFactor
-		if l.limit < float64(l.cfg.MinLimit) {
-			l.limit = float64(l.cfg.MinLimit)
+		l.limit *= decreaseFactor
+		if l.limit < minLimit {
+			l.limit = minLimit
 		}
 		l.lastDecrease, l.decreased = now, true
 		l.decreases++
 	case outcome == OK:
 		l.limit += 1 / math.Max(l.limit, 1)
-		if l.limit > float64(l.cfg.MaxConcurrent) {
-			l.limit = float64(l.cfg.MaxConcurrent)
+		if l.limit > float64(l.maxConcurrent) {
+			l.limit = float64(l.maxConcurrent)
 		}
 	}
 }
@@ -451,9 +412,6 @@ type Ticket struct {
 	released atomic.Bool
 }
 
-// Lane reports which lane admitted the ticket.
-func (t *Ticket) Lane() Lane { return t.lane }
-
 // Release returns the slot, feeds the execution latency to the
 // tracker (OK outcomes only — failures are not cost evidence), runs
 // the AIMD step, and wakes admissible waiters.
@@ -462,13 +420,13 @@ func (t *Ticket) Release(outcome Outcome) {
 		return
 	}
 	l := t.l
-	elapsed := l.cfg.Clock.Now().Sub(t.start)
+	elapsed := l.clock.Now().Sub(t.start)
 	congested := false
 	if outcome == OK {
 		l.tracker.Observe(t.key, elapsed)
 		l.tracker.Observe(laneKey(t.lane), elapsed)
 		if base, ok := l.tracker.Baseline(t.key); ok &&
-			float64(elapsed) > l.cfg.Tolerance*float64(base) {
+			float64(elapsed) > tolerance*float64(base) {
 			congested = true
 		}
 	}
@@ -510,8 +468,8 @@ func (l *Limiter) Stats() Stats {
 	st := Stats{
 		Adaptive:        true,
 		Limit:           math.Round(l.limit*100) / 100,
-		MaxConcurrent:   l.cfg.MaxConcurrent,
-		FastReserve:     l.cfg.FastReserve,
+		MaxConcurrent:   l.maxConcurrent,
+		FastReserve:     l.fastReserve,
 		DeadlineRejects: l.deadlineRejects,
 		Expired:         l.expired,
 		Decreases:       l.decreases,

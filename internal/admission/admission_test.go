@@ -38,15 +38,6 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestLimiter(t *testing.T, cfg Config) *Limiter {
-	t.Helper()
-	l, err := NewLimiter(cfg)
-	if err != nil {
-		t.Fatalf("NewLimiter: %v", err)
-	}
-	return l
-}
-
 // waitQueued spins until the limiter reports depth waiters queued in
 // lane (tests enqueue from goroutines and need the ordering pinned).
 func waitQueued(t *testing.T, l *Limiter, lane Lane, depth int) {
@@ -70,17 +61,18 @@ func waitQueued(t *testing.T, l *Limiter, lane Lane, depth int) {
 // of identical samples, so p90 == baseline == cost.
 func seedCost(l *Limiter, lane Lane, key string, cost time.Duration) {
 	for i := 0; i < minSamples; i++ {
-		l.Tracker().Observe(key, cost)
-		l.Tracker().Observe(laneKey(lane), cost)
+		l.tracker.Observe(key, cost)
+		l.tracker.Observe(laneKey(lane), cost)
 	}
 }
 
 func TestAdmitsUpToCapThenShedsOnQueueTimeout(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 3, FastReserve: -1, Clock: newFakeClock()})
+	l := NewLimiter(Config{MaxConcurrent: 3, Clock: newFakeClock()})
 
+	// Fast work may fill every slot; cold work leaves one free.
 	var tickets []*Ticket
 	for i := 0; i < 3; i++ {
-		tk, err := l.Acquire(context.Background(), Cold, "nc")
+		tk, err := l.Acquire(context.Background(), Fast, "cached")
 		if err != nil {
 			t.Fatalf("acquire %d: %v", i, err)
 		}
@@ -89,7 +81,7 @@ func TestAdmitsUpToCapThenShedsOnQueueTimeout(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := l.Acquire(ctx, Cold, "nc")
+	_, err := l.Acquire(ctx, Fast, "cached")
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("4th acquire: want ShedError, got %v", err)
@@ -102,23 +94,23 @@ func TestAdmitsUpToCapThenShedsOnQueueTimeout(t *testing.T) {
 	}
 
 	st := l.Stats()
-	if st.Cold.InFlight != 3 || st.Cold.Queued != 0 {
-		t.Fatalf("stats after shed: in_flight=%d queued=%d, want 3/0", st.Cold.InFlight, st.Cold.Queued)
+	if st.Fast.InFlight != 3 || st.Fast.Queued != 0 {
+		t.Fatalf("stats after shed: in_flight=%d queued=%d, want 3/0", st.Fast.InFlight, st.Fast.Queued)
 	}
-	if st.Cold.Sheds != 1 || st.Cold.QueueTimeouts != 1 {
-		t.Fatalf("sheds=%d queue_timeouts=%d, want 1/1", st.Cold.Sheds, st.Cold.QueueTimeouts)
+	if st.Fast.Sheds != 1 || st.Fast.QueueTimeouts != 1 {
+		t.Fatalf("sheds=%d queue_timeouts=%d, want 1/1", st.Fast.Sheds, st.Fast.QueueTimeouts)
 	}
 
 	for _, tk := range tickets {
 		tk.Release(OK)
 	}
-	if st := l.Stats(); st.Cold.InFlight != 0 {
-		t.Fatalf("in_flight after release = %d, want 0", st.Cold.InFlight)
+	if st := l.Stats(); st.Fast.InFlight != 0 {
+		t.Fatalf("in_flight after release = %d, want 0", st.Fast.InFlight)
 	}
 }
 
 func TestReleaseAdmitsQueuedWaiterFIFO(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 1, FastReserve: -1, Clock: newFakeClock()})
+	l := NewLimiter(Config{MaxConcurrent: 1, Clock: newFakeClock()})
 	holder, err := l.Acquire(context.Background(), Cold, "nc")
 	if err != nil {
 		t.Fatalf("holder: %v", err)
@@ -152,7 +144,7 @@ func TestReleaseAdmitsQueuedWaiterFIFO(t *testing.T) {
 }
 
 func TestFastLanePoppedBeforeCold(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 1, FastReserve: -1, Clock: newFakeClock()})
+	l := NewLimiter(Config{MaxConcurrent: 1, Clock: newFakeClock()})
 	holder, err := l.Acquire(context.Background(), Cold, "nc")
 	if err != nil {
 		t.Fatalf("holder: %v", err)
@@ -187,7 +179,7 @@ func TestFastLanePoppedBeforeCold(t *testing.T) {
 }
 
 func TestFastReserveKeepsSlotFreeOfColdWork(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 4, FastReserve: 1, Clock: newFakeClock()})
+	l := NewLimiter(Config{MaxConcurrent: 4, Clock: newFakeClock()})
 
 	for i := 0; i < 3; i++ {
 		if _, err := l.Acquire(context.Background(), Cold, "nc"); err != nil {
@@ -209,7 +201,7 @@ func TestFastReserveKeepsSlotFreeOfColdWork(t *testing.T) {
 
 func TestExpiredBudgetRejectedOnArrival(t *testing.T) {
 	clk := newFakeClock()
-	l := newTestLimiter(t, Config{MaxConcurrent: 2, Clock: clk})
+	l := NewLimiter(Config{MaxConcurrent: 2, Clock: clk})
 
 	ctx, cancel := context.WithDeadline(context.Background(), clk.Now())
 	defer cancel()
@@ -224,7 +216,7 @@ func TestExpiredBudgetRejectedOnArrival(t *testing.T) {
 
 func TestDeadlineFastFailUsesObservedP90(t *testing.T) {
 	clk := newFakeClock()
-	l := newTestLimiter(t, Config{MaxConcurrent: 2, Clock: clk})
+	l := NewLimiter(Config{MaxConcurrent: 2, Clock: clk})
 	seedCost(l, Cold, "nc", 100*time.Millisecond)
 
 	// 20ms of budget cannot cover an observed 100ms p90: shed.
@@ -260,10 +252,8 @@ func TestDeadlineFastFailUsesObservedP90(t *testing.T) {
 
 func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 	clk := newFakeClock()
-	l := newTestLimiter(t, Config{
-		MaxConcurrent: 1, FastReserve: -1, MaxQueue: 5, Clock: clk,
-	})
-	seedCost(l, Cold, "nc", time.Second)
+	l := NewLimiter(Config{MaxConcurrent: 1, Clock: clk})
+	seedCost(l, Cold, "nc", 800*time.Millisecond)
 
 	holder, err := l.Acquire(context.Background(), Cold, "nc")
 	if err != nil {
@@ -271,7 +261,7 @@ func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 	}
 
 	// Shallow state: a deadline reject sees 1 in flight + itself at
-	// 1s/slot => 2s hint.
+	// 0.8s/slot => 1.6s, a 2s hint.
 	ctx, cancel := context.WithDeadline(context.Background(), clk.Now().Add(50*time.Millisecond))
 	_, err = l.Acquire(ctx, Cold, "nc")
 	cancel()
@@ -284,10 +274,11 @@ func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 	}
 
 	// Fill the queue; the queue-full hint must now cover the drain of
-	// everything ahead: 1 in flight + 5 queued + itself => 7s.
+	// everything ahead: 1 in flight + 32 queued + itself at 0.8s/slot
+	// => 27.2s, a 28s hint.
 	waitCtx, cancelWaiters := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -299,8 +290,8 @@ func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 	if !errors.As(err, &shed) || shed.Reason != ReasonQueueFull {
 		t.Fatalf("err = %v, want queue-full ShedError", err)
 	}
-	if got := shed.RetryAfterSeconds(); got != 7 {
-		t.Fatalf("deep Retry-After = %ds, want 7", got)
+	if got := shed.RetryAfterSeconds(); got != 28 {
+		t.Fatalf("deep Retry-After = %ds, want 28", got)
 	}
 
 	cancelWaiters()
@@ -310,11 +301,7 @@ func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 
 func TestAIMDDecreaseOnCongestionAndTimeout(t *testing.T) {
 	clk := newFakeClock()
-	l := newTestLimiter(t, Config{
-		MaxConcurrent: 8, FastReserve: -1,
-		Tolerance: 2, DecreaseFactor: 0.75, DecreaseCooldown: time.Hour,
-		Clock: clk,
-	})
+	l := NewLimiter(Config{MaxConcurrent: 8, Clock: clk})
 
 	run := func(exec time.Duration, outcome Outcome) {
 		tk, err := l.Acquire(context.Background(), Cold, "nc")
@@ -333,14 +320,14 @@ func TestAIMDDecreaseOnCongestionAndTimeout(t *testing.T) {
 		t.Fatalf("limit after warm-up = %v, want 8", st.Limit)
 	}
 
-	// 100ms > 2 x 10ms baseline: multiplicative decrease.
+	// 100ms > 4 x 10ms baseline: multiplicative decrease.
 	run(100*time.Millisecond, OK)
 	if st := l.Stats(); st.Limit != 6 || st.Decreases != 1 {
 		t.Fatalf("limit after congestion = %v (decreases %d), want 6 (1)", st.Limit, st.Decreases)
 	}
 
-	// A second congested completion inside the cooldown must not
-	// collapse the limit further.
+	// A second congested completion 100ms later, inside the 250ms
+	// cooldown, must not collapse the limit further.
 	run(100*time.Millisecond, OK)
 	if st := l.Stats(); st.Limit != 6 || st.Decreases != 1 {
 		t.Fatalf("cooldown ignored: limit = %v, decreases = %d", st.Limit, st.Decreases)
@@ -377,11 +364,9 @@ func TestAIMDDecreaseOnCongestionAndTimeout(t *testing.T) {
 
 func TestShrunkLimitGatesAdmission(t *testing.T) {
 	clk := newFakeClock()
-	l := newTestLimiter(t, Config{
-		MaxConcurrent: 4, FastReserve: -1,
-		MinLimit: 1, Tolerance: 2, DecreaseFactor: 0.25, Clock: clk,
-	})
-	// Baseline then one hard congestion event: limit 4 -> 1.
+	l := NewLimiter(Config{MaxConcurrent: 4, Clock: clk})
+	// Baseline then five congestion events spaced past the cooldown:
+	// limit 4 -> 3 -> 2.25 -> 1.69 -> 1.27 -> 1 (floored at minLimit).
 	run := func(exec time.Duration) {
 		tk, err := l.Acquire(context.Background(), Cold, "nc")
 		if err != nil {
@@ -393,7 +378,10 @@ func TestShrunkLimitGatesAdmission(t *testing.T) {
 	for i := 0; i < minSamples; i++ {
 		run(10 * time.Millisecond)
 	}
-	run(200 * time.Millisecond)
+	for i := 0; i < 5; i++ {
+		run(200 * time.Millisecond)
+		clk.advance(time.Second)
+	}
 	if st := l.Stats(); st.Limit != 1 {
 		t.Fatalf("limit = %v, want 1", st.Limit)
 	}
@@ -412,7 +400,7 @@ func TestShrunkLimitGatesAdmission(t *testing.T) {
 }
 
 func TestCanceledWaiterLeavesSlotUsable(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 1, FastReserve: -1, Clock: newFakeClock()})
+	l := NewLimiter(Config{MaxConcurrent: 1, Clock: newFakeClock()})
 	holder, err := l.Acquire(context.Background(), Cold, "nc")
 	if err != nil {
 		t.Fatalf("holder: %v", err)
@@ -440,7 +428,7 @@ func TestCanceledWaiterLeavesSlotUsable(t *testing.T) {
 }
 
 func TestReleaseIsIdempotent(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 2, Clock: newFakeClock()})
+	l := NewLimiter(Config{MaxConcurrent: 2, Clock: newFakeClock()})
 	tk, err := l.Acquire(context.Background(), Fast, "cached")
 	if err != nil {
 		t.Fatalf("acquire: %v", err)
@@ -459,7 +447,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 // many goroutines across both lanes acquiring, releasing, and
 // abandoning waits. Afterward nothing may remain in flight or queued.
 func TestConcurrentStress(t *testing.T) {
-	l := newTestLimiter(t, Config{MaxConcurrent: 4})
+	l := NewLimiter(Config{MaxConcurrent: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 24; g++ {
 		wg.Add(1)

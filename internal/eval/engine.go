@@ -68,8 +68,6 @@ type ExtractSource func(ctx context.Context, m *filter.Method) (graph.Selection,
 // every method of the default registry with only the always-available
 // criteria (coverage, edge share).
 type Config struct {
-	// Registry to draw methods from; nil means filter.Default.
-	Registry *filter.Registry
 	// Methods narrows the evaluation to the named methods; empty means
 	// every registered method, in registry order.
 	Methods []string
@@ -204,14 +202,10 @@ func Ranked(m *filter.Method, sizeMatched bool) bool {
 // goroutine per method, mirroring BackboneAll), then aggregate.
 func run(ctx context.Context, g *graph.Graph, cfg Config, sizeMatched bool) (*Report, error) {
 	start := time.Now()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = filter.Default
-	}
 	// Ride-along parameters follow BackboneAll's rule: each method
 	// resolves the ones it declares, and one no selected method declares
 	// is a misspelling.
-	selected, err := reg.Select(cfg.Methods, cfg.Params)
+	selected, err := filter.Default.Select(cfg.Methods, cfg.Params)
 	if err != nil {
 		return nil, err
 	}

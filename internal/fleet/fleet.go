@@ -54,6 +54,11 @@ const DurationHeader = "X-Backbone-Duration-Ms"
 // to its client, by prefix or exact (canonical) name.
 const relayPrefix = "X-Backbone-"
 
+// maxResponseBytes bounds a relayed peer response. Forwarded responses
+// are buffered in full before relaying so a peer dying mid-body is
+// detected while local fallback is still possible.
+const maxResponseBytes = 1 << 30
+
 // Config assembles a Fleet.
 type Config struct {
 	// Self is this process's advertised address, as it appears in
@@ -62,25 +67,13 @@ type Config struct {
 	// rendezvous hashing is order-free).
 	Self  string
 	Peers []string
-	// Client is the forwarding HTTP client (default: http.Client with
-	// a 30s overall safety timeout; per-attempt budgets come from
-	// AttemptTimeout).
-	Client *http.Client
 	// AttemptTimeout bounds each forward attempt (default 10s); the
 	// request context still caps the total.
 	AttemptTimeout time.Duration
-	// Retry configures the backoff executor; its zero value applies
-	// the resilient defaults (3 attempts, 50ms..2s full jitter).
-	Retry resilient.Retry
-	// Breaker configures the per-peer circuit breakers; its zero
-	// value applies the resilient defaults.
-	Breaker resilient.BreakerConfig
-	// MaxResponseBytes bounds a relayed peer response (default 1GiB).
-	// Forwarded responses are buffered in full before relaying so a
-	// peer dying mid-body is detected while local fallback is still
-	// possible.
-	MaxResponseBytes int64
-	Logf             func(format string, args ...any)
+	// Clock drives the forward retries' backoff and every peer's
+	// circuit breaker; nil means resilient.SystemClock.
+	Clock resilient.Clock
+	Logf  func(format string, args ...any)
 }
 
 // Peer is one fleet member plus its health and traffic accounting.
@@ -154,7 +147,6 @@ type Fleet struct {
 	client  *http.Client
 	retry   resilient.Retry
 	attempt time.Duration
-	maxResp int64
 	logf    func(string, ...any)
 	// flights deduplicates identical concurrent forwards. Nothing is
 	// cached: response memoization belongs to the owning peer's
@@ -199,20 +191,15 @@ func New(cfg Config) (*Fleet, error) {
 		self:    cfg.Self,
 		members: members,
 		peers:   make(map[string]*Peer, len(members)),
-		client:  cfg.Client,
-		retry:   cfg.Retry,
+		// A 30s overall safety timeout; per-attempt budgets come from
+		// AttemptTimeout.
+		client:  &http.Client{Timeout: 30 * time.Second},
+		retry:   resilient.Retry{Clock: cfg.Clock},
 		attempt: cfg.AttemptTimeout,
-		maxResp: cfg.MaxResponseBytes,
 		logf:    cfg.Logf,
-	}
-	if f.client == nil {
-		f.client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if f.attempt <= 0 {
 		f.attempt = 10 * time.Second
-	}
-	if f.maxResp <= 0 {
-		f.maxResp = 1 << 30
 	}
 	if f.logf == nil {
 		f.logf = func(string, ...any) {}
@@ -220,7 +207,7 @@ func New(cfg Config) (*Fleet, error) {
 	for _, addr := range members {
 		p := &Peer{Addr: addr}
 		if addr != f.self {
-			p.breaker = resilient.NewBreaker(cfg.Breaker)
+			p.breaker = resilient.NewBreaker(cfg.Clock)
 		}
 		f.peers[addr] = p
 	}
@@ -367,7 +354,7 @@ func (f *Fleet) attemptForward(ctx context.Context, p *Peer, method, path, rawQu
 		return nil, fmt.Errorf("peer %s: %v", addr, err)
 	}
 	defer hr.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(hr.Body, f.maxResp+1))
+	raw, err := io.ReadAll(io.LimitReader(hr.Body, maxResponseBytes+1))
 	if err != nil {
 		// A body that dies mid-read is the partial-response failure
 		// mode; nothing was relayed yet, so it is retryable.
@@ -376,8 +363,8 @@ func (f *Fleet) attemptForward(ctx context.Context, p *Peer, method, path, rawQu
 		}
 		return nil, fmt.Errorf("peer %s: reading response: %v", addr, err)
 	}
-	if int64(len(raw)) > f.maxResp {
-		return nil, fmt.Errorf("peer %s: response exceeds %d bytes", addr, f.maxResp)
+	if len(raw) > maxResponseBytes {
+		return nil, fmt.Errorf("peer %s: response exceeds %d bytes", addr, maxResponseBytes)
 	}
 	// Transit measurement: attempt wall-clock minus the peer's
 	// self-reported execution time is the network + queueing cost this

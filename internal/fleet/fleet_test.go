@@ -15,15 +15,10 @@ import (
 	"repro/internal/resilient"
 )
 
-// fastRetry keeps unit tests snappy: real clock, microscopic backoff.
-var fastRetry = resilient.Retry{
-	MaxAttempts: 3,
-	BaseDelay:   time.Millisecond,
-	MaxDelay:    5 * time.Millisecond,
-}
-
 // testFleet builds a two-member fleet whose only forwardable peer is
 // the given backend handler, and returns the fleet plus the peer addr.
+// Without a clock in cfg it gets a recording clock, so backoff pauses
+// cost no wall time.
 func testFleet(t *testing.T, backend http.Handler, cfg Config) (*Fleet, string) {
 	t.Helper()
 	ts := httptest.NewServer(backend)
@@ -31,8 +26,8 @@ func testFleet(t *testing.T, backend http.Handler, cfg Config) (*Fleet, string) 
 	addr := ts.Listener.Addr().String()
 	cfg.Self = "self.invalid:0"
 	cfg.Peers = []string{addr}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = fastRetry
+	if cfg.Clock == nil {
+		cfg.Clock = newRecordingClock()
 	}
 	f, err := New(cfg)
 	if err != nil {
@@ -137,28 +132,92 @@ func TestForwardBreakerOpensAndFailsFast(t *testing.T) {
 	f, addr := testFleet(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		http.Error(w, "down", http.StatusInternalServerError)
-	}), Config{
-		Retry:   resilient.Retry{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
-		Breaker: resilient.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
-	})
+	}), Config{})
 
-	_, err := f.ForwardRequest(context.Background(), addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
-	if !errors.Is(err, ErrPeerUnavailable) {
-		t.Fatalf("err = %v, want ErrPeerUnavailable", err)
+	// Two forwards of 3 attempts each reach the 5-failure threshold.
+	for _, body := range []string{"x", "w"} {
+		_, err := f.ForwardRequest(context.Background(), addr, digestOf(body), http.MethodPost, "/backbone", "", "text/csv", "", []byte(body))
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("err = %v, want ErrPeerUnavailable", err)
+		}
 	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("backend saw %d attempts, want 2", got)
+	if got := calls.Load(); got != 5 {
+		t.Fatalf("backend saw %d attempts, want 5", got)
 	}
 	if st := f.BreakerState(addr); st != resilient.Open {
 		t.Fatalf("breaker = %v after threshold failures, want open", st)
 	}
 
-	_, err = f.ForwardRequest(context.Background(), addr, digestOf("y"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("y"))
+	_, err := f.ForwardRequest(context.Background(), addr, digestOf("y"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("y"))
 	if !errors.Is(err, ErrPeerUnavailable) || !errors.Is(err, resilient.ErrOpen) {
 		t.Fatalf("err = %v, want ErrPeerUnavailable wrapping ErrOpen", err)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("open breaker still let %d attempts through", got-2)
+	if got := calls.Load(); got != 5 {
+		t.Errorf("open breaker still let %d attempts through", got-5)
+	}
+}
+
+// TestForwardShippedRetryAndBreaker runs the retry schedule and breaker
+// thresholds the daemon ships, on a recording clock against an
+// always-500 peer: 3 attempts per forward with pauses of at most 50ms
+// and then 100ms, the 5th consecutive failure opens the breaker, and
+// it rejects until 5s have passed, then lets one half-open probe
+// through.
+func TestForwardShippedRetryAndBreaker(t *testing.T) {
+	clock := newRecordingClock()
+	var calls atomic.Int32
+	var failed5 atomic.Int64 // clock time of the 5th failure, in ns
+	f, addr := testFleet(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 5 {
+			failed5.Store(clock.Now().UnixNano())
+		}
+		http.Error(w, "down", http.StatusInternalServerError)
+	}), Config{Clock: clock})
+	forward := func(body string) error {
+		_, err := f.ForwardRequest(context.Background(), addr, digestOf(body), http.MethodPost, "/backbone", "", "text/csv", "", []byte(body))
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("forward %q: err = %v, want ErrPeerUnavailable", body, err)
+		}
+		return err
+	}
+
+	forward("a")
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("first forward made %d attempts, want 3", got)
+	}
+	sleeps := clock.sleeps()
+	if len(sleeps) != 2 || sleeps[0] > 50*time.Millisecond || sleeps[1] > 100*time.Millisecond {
+		t.Fatalf("pauses %v, want two, at most 50ms and then at most 100ms", sleeps)
+	}
+	if st := f.BreakerState(addr); st != resilient.Closed {
+		t.Fatalf("breaker = %v after 3 failures, want closed", st)
+	}
+
+	// Failures 4 and 5; the 5th opens the breaker, so the forward's
+	// third attempt never reaches the peer.
+	if err := forward("b"); !errors.Is(err, resilient.ErrOpen) {
+		t.Fatalf("err = %v, want the open breaker", err)
+	}
+	if got := calls.Load(); got != 5 {
+		t.Fatalf("backend saw %d attempts, want 5", got)
+	}
+
+	openedAt := time.Unix(0, failed5.Load())
+	clock.set(openedAt.Add(5*time.Second - time.Millisecond))
+	if err := forward("c"); !errors.Is(err, resilient.ErrOpen) || calls.Load() != 5 {
+		t.Fatalf("forward 1ms before the cooldown ends: err = %v after %d attempts, want ErrOpen after 5", err, calls.Load())
+	}
+	clock.set(openedAt.Add(5 * time.Second))
+	if st := f.BreakerState(addr); st != resilient.HalfOpen {
+		t.Fatalf("breaker = %v once the cooldown ends, want half-open", st)
+	}
+	// One probe reaches the peer; its failure reopens the breaker, which
+	// rejects the forward's next attempt.
+	if err := forward("d"); !errors.Is(err, resilient.ErrOpen) || calls.Load() != 6 {
+		t.Fatalf("forward after the cooldown: err = %v after %d attempts, want ErrOpen after 6", err, calls.Load())
+	}
+	if st := f.BreakerState(addr); st != resilient.Open {
+		t.Fatalf("breaker = %v after a failed probe, want open", st)
 	}
 }
 
@@ -233,7 +292,7 @@ func TestForwardDeadPeerFailsOver(t *testing.T) {
 	ts := httptest.NewServer(http.NotFoundHandler())
 	addr := ts.Listener.Addr().String()
 	ts.Close() // nothing listens there anymore
-	f, err := New(Config{Self: "self.invalid:0", Peers: []string{addr}, Retry: fastRetry})
+	f, err := New(Config{Self: "self.invalid:0", Peers: []string{addr}, Clock: newRecordingClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,32 +309,32 @@ func TestForwardDeadPeerFailsOver(t *testing.T) {
 // TestForwardHonorsRequestDeadline: the caller's deadline caps the
 // whole retry loop — no attempt starts after it.
 func TestForwardHonorsRequestDeadline(t *testing.T) {
+	clock := newRecordingClock()
 	var calls atomic.Int32
 	f, addr := testFleet(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		http.Error(w, "down", http.StatusInternalServerError)
-	}), Config{Retry: resilient.Retry{
-		MaxAttempts: 100,
-		BaseDelay:   40 * time.Millisecond,
-		MaxDelay:    40 * time.Millisecond,
-		Multiplier:  1,
-	}})
+	}), Config{Clock: clock})
+	// Jitter at its maximum: pauses of exactly 50ms and then 100ms.
+	f.retry.Rand = func(n int64) int64 { return n - 1 }
 
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	// A 120ms budget fits attempts at 0 and 50ms; the third would start
+	// at 150ms.
+	ctx, cancel := context.WithDeadline(context.Background(), clock.Now().Add(120*time.Millisecond))
 	defer cancel()
 	_, err := f.ForwardRequest(ctx, addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
 	if err == nil {
 		t.Fatal("forward succeeded against an always-500 peer")
 	}
-	if got := calls.Load(); got == 0 || got > 6 {
-		t.Errorf("backend saw %d attempts under a 150ms budget with 40ms backoff", got)
+	if got := calls.Load(); got != 2 {
+		t.Errorf("backend saw %d attempts under a 120ms budget with a 50ms then 100ms backoff, want 2", got)
 	}
 }
 
 // TestForwardRetryAfterHint: a 503's Retry-After raises the backoff
 // pause; with an injectable clock the exact sleep is pinned.
 func TestForwardRetryAfterHint(t *testing.T) {
-	clock := &recordingClock{now: time.Now()}
+	clock := newRecordingClock()
 	var calls atomic.Int32
 	f, addr := testFleet(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
@@ -284,13 +343,7 @@ func TestForwardRetryAfterHint(t *testing.T) {
 			return
 		}
 		io.WriteString(w, "ok")
-	}), Config{Retry: resilient.Retry{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-		MaxDelay:    time.Millisecond,
-		Clock:       clock,
-		Rand:        func(n int64) int64 { return 0 },
-	}})
+	}), Config{Clock: clock})
 
 	resp, err := f.ForwardRequest(context.Background(), addr, digestOf("x"), http.MethodPost, "/backbone", "", "text/csv", "", []byte("x"))
 	if err != nil {
@@ -311,6 +364,16 @@ type recordingClock struct {
 	mu    sync.Mutex
 	now   time.Time
 	slept []time.Duration
+}
+
+// newRecordingClock starts at the real present, so a request deadline
+// taken from the wall clock means the same instant on this clock.
+func newRecordingClock() *recordingClock { return &recordingClock{now: time.Now()} }
+
+func (c *recordingClock) set(now time.Time) {
+	c.mu.Lock()
+	c.now = now
+	c.mu.Unlock()
 }
 
 func (c *recordingClock) Now() time.Time {

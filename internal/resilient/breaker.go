@@ -35,24 +35,14 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes a Breaker. The zero value applies the defaults
-// documented per field.
-type BreakerConfig struct {
-	// FailureThreshold is the consecutive-failure count that opens the
-	// breaker (default 5).
-	FailureThreshold int
-	// ErrorRate additionally opens the breaker when the failure
-	// fraction within the current Window reaches it, once the window
-	// holds at least WindowMinRequests samples. 0 disables the
-	// rate trigger.
-	ErrorRate         float64
-	WindowMinRequests int           // default 10
-	Window            time.Duration // default 10s
-	// Cooldown is how long an open breaker rejects before allowing a
-	// half-open probe (default 5s).
-	Cooldown time.Duration
-	Clock    Clock
-}
+const (
+	// failureThreshold is the consecutive-failure count that opens a
+	// breaker.
+	failureThreshold = 5
+	// cooldown is how long an open breaker rejects before allowing a
+	// half-open probe.
+	cooldown = 5 * time.Second
+)
 
 // BreakerStats is a point-in-time snapshot for observability surfaces
 // (the daemon's /statsz).
@@ -62,49 +52,33 @@ type BreakerStats struct {
 	ConsecutiveFailures int    `json:"consecutive_failures"`
 }
 
-// Breaker is a per-peer circuit breaker: closed → open on a
-// consecutive-failure or windowed error-rate threshold → half-open
-// probe after a cooldown → closed on probe success, reopen on probe
-// failure. A nil *Breaker passes all traffic and records nothing, so
-// callers without breaker config need not branch.
+// Breaker is a per-peer circuit breaker: closed → open after
+// failureThreshold consecutive failures → half-open probe after the
+// cooldown → closed on probe success, reopen on probe failure. A nil
+// *Breaker passes all traffic and records nothing, so callers without
+// a breaker need not branch.
 //
 // Usage: if Allow returns nil the caller must Record the outcome of
 // exactly one operation; in the half-open state that pairing is what
 // limits the probe to a single in-flight request.
 type Breaker struct {
-	cfg BreakerConfig
+	clock Clock
 
 	mu          sync.Mutex
 	state       BreakerState
 	consecFails int
-	winStart    time.Time
-	winReqs     int
-	winFails    int
 	openedAt    time.Time
 	probing     bool
 	opens       uint64
 }
 
-// NewBreaker returns a Breaker in the Closed state.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 5
+// NewBreaker returns a Breaker in the Closed state; a nil clock means
+// SystemClock.
+func NewBreaker(clock Clock) *Breaker {
+	if clock == nil {
+		clock = SystemClock
 	}
-	if cfg.WindowMinRequests <= 0 {
-		cfg.WindowMinRequests = 10
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Second
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = SystemClock
-	}
-	b := &Breaker{cfg: cfg}
-	b.winStart = cfg.Clock.Now()
-	return b
+	return &Breaker{clock: clock}
 }
 
 // Allow reports whether a request may proceed. A nil return obliges
@@ -117,7 +91,7 @@ func (b *Breaker) Allow() error {
 	defer b.mu.Unlock()
 	switch b.state {
 	case Open:
-		if b.cfg.Clock.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.clock.Now().Sub(b.openedAt) < cooldown {
 			return ErrOpen
 		}
 		// Cooldown over: move to half-open and admit this caller as
@@ -144,55 +118,31 @@ func (b *Breaker) Record(success bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.cfg.Clock.Now()
 
-	if b.state == HalfOpen {
-		b.probing = false
-		if success {
-			b.toClosed(now)
-		} else {
-			b.toOpen(now)
-		}
-		return
-	}
-	if b.state == Open {
-		// A straggler from before the trip; its outcome is stale.
-		return
-	}
-
-	// Closed: roll the error-rate window, then count.
-	if now.Sub(b.winStart) > b.cfg.Window {
-		b.winStart, b.winReqs, b.winFails = now, 0, 0
-	}
-	b.winReqs++
-	if success {
+	switch {
+	case b.state == HalfOpen && success:
+		b.state = Closed
 		b.consecFails = 0
-		return
-	}
-	b.winFails++
-	b.consecFails++
-	if b.consecFails >= b.cfg.FailureThreshold {
-		b.toOpen(now)
-		return
-	}
-	if b.cfg.ErrorRate > 0 && b.winReqs >= b.cfg.WindowMinRequests &&
-		float64(b.winFails)/float64(b.winReqs) >= b.cfg.ErrorRate {
-		b.toOpen(now)
+		b.probing = false
+	case b.state == HalfOpen:
+		b.toOpen()
+	case b.state == Open:
+		// A straggler from before the trip; its outcome is stale.
+	case success:
+		b.consecFails = 0
+	default:
+		b.consecFails++
+		if b.consecFails >= failureThreshold {
+			b.toOpen()
+		}
 	}
 }
 
-// toOpen / toClosed run under b.mu.
-func (b *Breaker) toOpen(now time.Time) {
+// toOpen runs under b.mu.
+func (b *Breaker) toOpen() {
 	b.state = Open
-	b.openedAt = now
+	b.openedAt = b.clock.Now()
 	b.opens++
-	b.probing = false
-}
-
-func (b *Breaker) toClosed(now time.Time) {
-	b.state = Closed
-	b.consecFails = 0
-	b.winStart, b.winReqs, b.winFails = now, 0, 0
 	b.probing = false
 }
 
@@ -204,7 +154,7 @@ func (b *Breaker) State() BreakerState {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == Open && b.cfg.Clock.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == Open && b.clock.Now().Sub(b.openedAt) >= cooldown {
 		return HalfOpen
 	}
 	return b.state

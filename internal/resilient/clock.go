@@ -1,6 +1,6 @@
 // Package resilient is the daemon fleet's failure-handling substrate:
-// a deadline-bounded retry executor with capped exponential backoff and
-// full jitter, a per-peer circuit breaker, and a fault-injection hook
+// a deadline-bounded retry executor with exponential backoff and full
+// jitter, a per-peer circuit breaker, and a fault-injection hook
 // for chaos testing. Every component takes an injectable Clock (and,
 // where it randomizes, an injectable rand source) so tests pin exact
 // schedules without sleeping.

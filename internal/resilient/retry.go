@@ -8,13 +8,21 @@ import (
 	"time"
 )
 
-// Retry executes an operation with capped exponential backoff and full
-// jitter. The zero value is usable and applies the defaults below.
+const (
+	// maxAttempts bounds a Do's attempts, first try included.
+	maxAttempts = 3
+	// baseDelay caps the first backoff pause.
+	baseDelay = 50 * time.Millisecond
+)
+
+// Retry executes an operation with exponential backoff and full
+// jitter. The zero value is usable.
 //
 // Backoff follows the "full jitter" scheme: before attempt k+1 the
 // executor sleeps a uniformly random duration in [0, cap_k], where
-// cap_0 = BaseDelay and cap_{k+1} = min(MaxDelay, cap_k*Multiplier).
-// Jitter decorrelates the retry storms of many clients that failed at
+// cap_0 = baseDelay and cap_{k+1} = 2*cap_k; with maxAttempts 3 the
+// pauses are drawn from [0, 50ms] and then [0, 100ms]. Jitter
+// decorrelates the retry storms of many clients that failed at
 // the same instant, which is exactly the fleet's peer-loss scenario.
 //
 // Retries are budget-aware: no attempt ever starts after the request
@@ -23,15 +31,6 @@ import (
 // of burning the caller's remaining budget on a wait that cannot be
 // followed by work.
 type Retry struct {
-	// MaxAttempts bounds total attempts (first try included). <= 0
-	// means the default of 3.
-	MaxAttempts int
-	// BaseDelay is the first backoff cap (default 50ms); MaxDelay the
-	// cap's ceiling (default 2s); Multiplier the cap's growth factor
-	// (default 2).
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
 	// Clock defaults to SystemClock. Rand returns a uniform int64 in
 	// [0, n) and defaults to math/rand.Int63n; tests substitute both
 	// to pin exact schedules.
@@ -89,26 +88,10 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 }
 
 // Do runs op until it succeeds, returns a Permanent or context error,
-// exhausts MaxAttempts, or the next attempt would start after ctx's
+// exhausts maxAttempts, or the next attempt would start after ctx's
 // deadline. attempt counts from 0. The returned error wraps the last
 // attempt's error, so errors.Is/As see through the exhaustion wrapper.
 func (r Retry) Do(ctx context.Context, op func(ctx context.Context, attempt int) error) error {
-	attempts := r.MaxAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	base := r.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxDelay := r.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 2 * time.Second
-	}
-	mult := r.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	clock := r.Clock
 	if clock == nil {
 		clock = SystemClock
@@ -119,8 +102,8 @@ func (r Retry) Do(ctx context.Context, op func(ctx context.Context, attempt int)
 	}
 
 	var lastErr error
-	backoffCap := base
-	for attempt := 0; attempt < attempts; attempt++ {
+	backoffCap := baseDelay
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
 				return fmt.Errorf("resilient: %v after %d attempts: %w", err, attempt, lastErr)
@@ -135,7 +118,7 @@ func (r Retry) Do(ctx context.Context, op func(ctx context.Context, attempt int)
 		if IsPermanent(err) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		if attempt == attempts-1 {
+		if attempt == maxAttempts-1 {
 			break
 		}
 		// Full jitter within the current cap, raised to any server hint.
@@ -151,7 +134,7 @@ func (r Retry) Do(ctx context.Context, op func(ctx context.Context, attempt int)
 		if serr := clock.Sleep(ctx, delay); serr != nil {
 			return fmt.Errorf("resilient: %v while backing off: %w", serr, lastErr)
 		}
-		backoffCap = min(maxDelay, time.Duration(float64(backoffCap)*mult))
+		backoffCap *= 2
 	}
-	return fmt.Errorf("resilient: %d attempts exhausted: %w", attempts, lastErr)
+	return fmt.Errorf("resilient: %d attempts exhausted: %w", maxAttempts, lastErr)
 }

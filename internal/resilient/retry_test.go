@@ -60,17 +60,10 @@ var errFlaky = errors.New("flaky")
 
 // TestRetryBackoffSchedule pins the deterministic fake-clock schedule:
 // with full jitter forced to its maximum, the sleeps are exactly the
-// caps base, base*2, base*4, ... clamped at MaxDelay.
+// caps 50ms and 100ms.
 func TestRetryBackoffSchedule(t *testing.T) {
 	clock := newFakeClock()
-	r := Retry{
-		MaxAttempts: 6,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    time.Second,
-		Multiplier:  2,
-		Clock:       clock,
-		Rand:        maxRand,
-	}
+	r := Retry{Clock: clock, Rand: maxRand}
 	calls := 0
 	err := r.Do(context.Background(), func(ctx context.Context, attempt int) error {
 		if attempt != calls {
@@ -82,13 +75,10 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("exhaustion error %v does not wrap the last attempt error", err)
 	}
-	if calls != 6 {
-		t.Fatalf("op ran %d times, want 6", calls)
+	if calls != 3 {
+		t.Fatalf("op ran %d times, want 3", calls)
 	}
-	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, 1000 * time.Millisecond, // capped at MaxDelay
-	}
+	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
 	got := clock.sleeps()
 	if len(got) != len(want) {
 		t.Fatalf("slept %v, want %v", got, want)
@@ -104,19 +94,10 @@ func TestRetryBackoffSchedule(t *testing.T) {
 // rand, every sleep before attempt k+1 lies in [0, cap_k].
 func TestRetryJitterBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	caps := []time.Duration{
-		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-	}
+	caps := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
 	for trial := 0; trial < 200; trial++ {
 		clock := newFakeClock()
-		r := Retry{
-			MaxAttempts: 5,
-			BaseDelay:   50 * time.Millisecond,
-			MaxDelay:    2 * time.Second,
-			Multiplier:  2,
-			Clock:       clock,
-			Rand:        rng.Int63n,
-		}
+		r := Retry{Clock: clock, Rand: rng.Int63n}
 		r.Do(context.Background(), func(context.Context, int) error { return errFlaky })
 		sleeps := clock.sleeps()
 		if len(sleeps) != len(caps) {
@@ -132,22 +113,16 @@ func TestRetryJitterBounds(t *testing.T) {
 
 // TestRetryDeadlineBounded pins the budget rule: no attempt starts at
 // or after the context deadline, and the would-overshoot sleep is not
-// taken. With 100ms attempts against a 450ms budget exactly five
-// attempts fit (t = 0, 100, 200, 300, 400ms).
+// taken. With pauses of 50ms and then 100ms against a 140ms budget
+// exactly two attempts fit (t = 0, 50ms); the third would start at
+// 150ms.
 func TestRetryDeadlineBounded(t *testing.T) {
 	clock := newFakeClock()
-	deadline := clock.Now().Add(450 * time.Millisecond)
+	deadline := clock.Now().Add(140 * time.Millisecond)
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 
-	r := Retry{
-		MaxAttempts: 100,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    100 * time.Millisecond,
-		Multiplier:  1,
-		Clock:       clock,
-		Rand:        maxRand,
-	}
+	r := Retry{Clock: clock, Rand: maxRand}
 	calls := 0
 	err := r.Do(ctx, func(ctx context.Context, attempt int) error {
 		if !clock.Now().Before(deadline) {
@@ -159,8 +134,11 @@ func TestRetryDeadlineBounded(t *testing.T) {
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("error %v does not wrap the attempt error", err)
 	}
-	if calls != 5 {
-		t.Errorf("op ran %d times, want 5 within the 450ms budget", calls)
+	if calls != 2 {
+		t.Errorf("op ran %d times, want 2 within the 140ms budget", calls)
+	}
+	if got := clock.sleeps(); len(got) != 1 || got[0] != 50*time.Millisecond {
+		t.Errorf("slept %v, want only the 50ms pause", got)
 	}
 }
 
@@ -168,7 +146,7 @@ func TestRetryDeadlineBounded(t *testing.T) {
 // attempt and is returned unwrapped-ly reachable via errors.Is.
 func TestRetryPermanent(t *testing.T) {
 	clock := newFakeClock()
-	r := Retry{MaxAttempts: 5, Clock: clock, Rand: maxRand}
+	r := Retry{Clock: clock, Rand: maxRand}
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context, int) error {
 		calls++
@@ -187,7 +165,7 @@ func TestRetryPermanent(t *testing.T) {
 
 // TestRetrySucceedsMidway: success stops retrying and returns nil.
 func TestRetrySucceedsMidway(t *testing.T) {
-	r := Retry{MaxAttempts: 5, Clock: newFakeClock(), Rand: maxRand}
+	r := Retry{Clock: newFakeClock(), Rand: maxRand}
 	calls := 0
 	err := r.Do(context.Background(), func(ctx context.Context, attempt int) error {
 		calls++
@@ -205,13 +183,7 @@ func TestRetrySucceedsMidway(t *testing.T) {
 // smaller jittered backoff.
 func TestRetryAfterHintRaisesSleep(t *testing.T) {
 	clock := newFakeClock()
-	r := Retry{
-		MaxAttempts: 2,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    10 * time.Millisecond,
-		Clock:       clock,
-		Rand:        maxRand,
-	}
+	r := Retry{Clock: clock, Rand: maxRand}
 	err := r.Do(context.Background(), func(context.Context, int) error {
 		return WithRetryAfter(errFlaky, 300*time.Millisecond)
 	})
@@ -219,15 +191,15 @@ func TestRetryAfterHintRaisesSleep(t *testing.T) {
 		t.Fatal(err)
 	}
 	sleeps := clock.sleeps()
-	if len(sleeps) != 1 || sleeps[0] != 300*time.Millisecond {
-		t.Errorf("slept %v, want exactly the 300ms hint", sleeps)
+	if len(sleeps) != 2 || sleeps[0] != 300*time.Millisecond || sleeps[1] != 300*time.Millisecond {
+		t.Errorf("slept %v, want exactly the 300ms hint before each retry", sleeps)
 	}
 }
 
 // TestRetryContextErrorsNotRetried: an attempt failing with the
 // context's own error returns immediately.
 func TestRetryContextErrorsNotRetried(t *testing.T) {
-	r := Retry{MaxAttempts: 5, Clock: newFakeClock(), Rand: maxRand}
+	r := Retry{Clock: newFakeClock(), Rand: maxRand}
 	calls := 0
 	err := r.Do(context.Background(), func(context.Context, int) error {
 		calls++

@@ -143,55 +143,6 @@ func TestSamplePoissonMoments(t *testing.T) {
 	}
 }
 
-func TestSampleBinomialMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cases := []struct {
-		n int64
-		p float64
-	}{{10, 0.5}, {100, 0.05}, {1000, 0.9}, {1 << 20, 1e-4}}
-	for _, c := range cases {
-		const trials = 20000
-		var sum, sumsq float64
-		for i := 0; i < trials; i++ {
-			x := float64(SampleBinomial(rng, c.n, c.p))
-			sum += x
-			sumsq += x * x
-		}
-		mean := sum / trials
-		wantMean := float64(c.n) * c.p
-		wantVar := wantMean * (1 - c.p)
-		variance := sumsq/trials - mean*mean
-		if math.Abs(mean-wantMean) > 0.05*wantMean+0.5 {
-			t.Errorf("Binomial(%d,%v): mean = %v, want %v", c.n, c.p, mean, wantMean)
-		}
-		if math.Abs(variance-wantVar) > 0.15*wantVar+1 {
-			t.Errorf("Binomial(%d,%v): variance = %v, want %v", c.n, c.p, variance, wantVar)
-		}
-	}
-	if SampleBinomial(rng, 10, 0) != 0 || SampleBinomial(rng, 10, 1) != 10 || SampleBinomial(rng, 0, 0.5) != 0 {
-		t.Error("degenerate binomial draws wrong")
-	}
-}
-
-// Property: binomial draws always land in [0, n].
-func TestQuickBinomialRange(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int64(1 + rng.Intn(10000))
-		p := rng.Float64()
-		for i := 0; i < 50; i++ {
-			k := SampleBinomial(rng, n, p)
-			if k < 0 || k > n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSampleLogNormalMedian(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 30000)

@@ -52,60 +52,6 @@ func poissonPTRS(rng *rand.Rand, lambda float64) int64 {
 	}
 }
 
-// SampleBinomial draws from Binomial(n, p) by inversion for small n·p
-// and by a Poisson/normal-free exact BTPE-style rejection otherwise.
-// The year-over-year re-measurement model draws each edge weight from
-// Binomial(N.., P_ij), which is how Table I gets an observed variance.
-func SampleBinomial(rng *rand.Rand, n int64, p float64) int64 {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if p > 0.5 {
-		return n - SampleBinomial(rng, n, 1-p)
-	}
-	np := float64(n) * p
-	if np < 30 {
-		// Inversion by sequential search over the PMF.
-		q := 1 - p
-		s := p / q
-		base := float64(n) * math.Log(q)
-		if base < -700 {
-			// PMF at 0 underflows; fall back to a normal approximation,
-			// valid since np(1-p) is large in this regime.
-			return binomNormalApprox(rng, n, p)
-		}
-		f := math.Exp(base)
-		u := rng.Float64()
-		var k int64
-		for {
-			if u < f {
-				return k
-			}
-			u -= f
-			k++
-			if k > n {
-				return n
-			}
-			f *= s * float64(n-k+1) / float64(k)
-		}
-	}
-	return binomNormalApprox(rng, n, p)
-}
-
-func binomNormalApprox(rng *rand.Rand, n int64, p float64) int64 {
-	mu := float64(n) * p
-	sigma := math.Sqrt(float64(n) * p * (1 - p))
-	for {
-		k := math.Round(mu + sigma*rng.NormFloat64())
-		if k >= 0 && k <= float64(n) {
-			return int64(k)
-		}
-	}
-}
-
 // SampleLogNormal draws exp(mu + sigma*Z). Firm-size multipliers in the
 // Ownership network and country populations are log-normal.
 func SampleLogNormal(rng *rand.Rand, mu, sigma float64) float64 {
