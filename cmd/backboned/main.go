@@ -151,7 +151,6 @@ func main() {
 			Self:           *selfAddr,
 			Peers:          strings.Split(*peersFlag, ","),
 			AttemptTimeout: *peerTO,
-			Logf:           logger.Printf,
 		})
 		if err != nil {
 			logger.Fatalf("fleet: %v (need -self and a -peers list)", err)

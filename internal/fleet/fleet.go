@@ -73,7 +73,6 @@ type Config struct {
 	// Clock drives the forward retries' backoff and every peer's
 	// circuit breaker; nil means resilient.SystemClock.
 	Clock resilient.Clock
-	Logf  func(format string, args ...any)
 }
 
 // Peer is one fleet member plus its health and traffic accounting.
@@ -147,7 +146,6 @@ type Fleet struct {
 	client  *http.Client
 	retry   resilient.Retry
 	attempt time.Duration
-	logf    func(string, ...any)
 	// flights deduplicates identical concurrent forwards. Nothing is
 	// cached: response memoization belongs to the owning peer's
 	// content-addressed caches, not the forwarding hop.
@@ -196,13 +194,9 @@ func New(cfg Config) (*Fleet, error) {
 		client:  &http.Client{Timeout: 30 * time.Second},
 		retry:   resilient.Retry{Clock: cfg.Clock},
 		attempt: cfg.AttemptTimeout,
-		logf:    cfg.Logf,
 	}
 	if f.attempt <= 0 {
 		f.attempt = 10 * time.Second
-	}
-	if f.logf == nil {
-		f.logf = func(string, ...any) {}
 	}
 	for _, addr := range members {
 		p := &Peer{Addr: addr}
@@ -435,15 +429,6 @@ func (f *Fleet) RecordFallback(addr string) {
 	if p := f.peers[addr]; p != nil {
 		p.fallbacks.Add(1)
 	}
-}
-
-// BreakerState exposes one peer's breaker position (tests and
-// diagnostics; Closed for self and unknown addresses).
-func (f *Fleet) BreakerState(addr string) resilient.BreakerState {
-	if p := f.peers[addr]; p != nil {
-		return p.breaker.State()
-	}
-	return resilient.Closed
 }
 
 // Stats snapshots every peer's counters and breaker, sorted by

@@ -38,6 +38,19 @@ func testFleet(t *testing.T, backend http.Handler, cfg Config) (*Fleet, string) 
 
 func digestOf(body string) Digest { return sha256.Sum256([]byte(body)) }
 
+// breakerState reads addr's breaker position from Stats, the snapshot
+// the daemon serves under /statsz.
+func breakerState(t *testing.T, f *Fleet, addr string) string {
+	t.Helper()
+	for _, ps := range f.Stats() {
+		if ps.Addr == addr {
+			return ps.Breaker.State
+		}
+	}
+	t.Fatalf("no stats for peer %s", addr)
+	return ""
+}
+
 // TestForwardRelaysResponse: a healthy forward carries the request
 // through (body, query, content type, accept, hop marker) and returns
 // the peer's status, X-Backbone-* headers and body.
@@ -144,7 +157,7 @@ func TestForwardBreakerOpensAndFailsFast(t *testing.T) {
 	if got := calls.Load(); got != 5 {
 		t.Fatalf("backend saw %d attempts, want 5", got)
 	}
-	if st := f.BreakerState(addr); st != resilient.Open {
+	if st := breakerState(t, f, addr); st != resilient.Open.String() {
 		t.Fatalf("breaker = %v after threshold failures, want open", st)
 	}
 
@@ -189,7 +202,7 @@ func TestForwardShippedRetryAndBreaker(t *testing.T) {
 	if len(sleeps) != 2 || sleeps[0] > 50*time.Millisecond || sleeps[1] > 100*time.Millisecond {
 		t.Fatalf("pauses %v, want two, at most 50ms and then at most 100ms", sleeps)
 	}
-	if st := f.BreakerState(addr); st != resilient.Closed {
+	if st := breakerState(t, f, addr); st != resilient.Closed.String() {
 		t.Fatalf("breaker = %v after 3 failures, want closed", st)
 	}
 
@@ -208,7 +221,7 @@ func TestForwardShippedRetryAndBreaker(t *testing.T) {
 		t.Fatalf("forward 1ms before the cooldown ends: err = %v after %d attempts, want ErrOpen after 5", err, calls.Load())
 	}
 	clock.set(openedAt.Add(5 * time.Second))
-	if st := f.BreakerState(addr); st != resilient.HalfOpen {
+	if st := breakerState(t, f, addr); st != resilient.HalfOpen.String() {
 		t.Fatalf("breaker = %v once the cooldown ends, want half-open", st)
 	}
 	// One probe reaches the peer; its failure reopens the breaker, which
@@ -216,7 +229,7 @@ func TestForwardShippedRetryAndBreaker(t *testing.T) {
 	if err := forward("d"); !errors.Is(err, resilient.ErrOpen) || calls.Load() != 6 {
 		t.Fatalf("forward after the cooldown: err = %v after %d attempts, want ErrOpen after 6", err, calls.Load())
 	}
-	if st := f.BreakerState(addr); st != resilient.Open {
+	if st := breakerState(t, f, addr); st != resilient.Open.String() {
 		t.Fatalf("breaker = %v after a failed probe, want open", st)
 	}
 }
@@ -281,7 +294,7 @@ func TestForwardCallerErrorsRelayedNotRetried(t *testing.T) {
 	if resp.Status != http.StatusBadRequest || calls.Load() != 1 {
 		t.Errorf("status %d after %d attempts, want 400 after 1", resp.Status, calls.Load())
 	}
-	if st := f.BreakerState(addr); st != resilient.Closed {
+	if st := breakerState(t, f, addr); st != resilient.Closed.String() {
 		t.Errorf("breaker = %v after a 4xx, want closed", st)
 	}
 }

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -99,151 +101,138 @@ func (b *Builder) MustAddEdge(u, v int, w float64) {
 // Build finalizes the graph. The Builder may be reused afterwards, but
 // further additions do not affect the returned Graph.
 func (b *Builder) Build() *Graph {
-	n := len(b.labels)
-	g := &Graph{
-		directed: b.directed,
-		labels:   append([]string(nil), b.labels...),
-		index:    make(map[string]int32, len(b.index)),
-		edges:    mergeEdges(b.edges),
-	}
-	//lint:detiter-ok copying into another map; insertion order is irrelevant
-	for k, v := range b.index {
-		g.index[k] = v
-	}
-	g.buildCSR(n)
-	return g
+	c := Builder{directed: b.directed, labels: slices.Clone(b.labels), index: maps.Clone(b.index), edges: slices.Clone(b.edges)}
+	return c.buildOwned()
 }
 
 // buildOwned finalizes the graph like Build, but transfers the label
 // slice, label index and edge buffer into the Graph instead of copying
-// them. The Builder must not be used afterwards. It exists for the
-// edge-list codec, where the builder is always single-use and the index
-// copy would dominate large ingests.
+// them, merging the edge buffer in place. The Builder must not be used
+// afterwards. The edge-list codec calls it directly: its builder is
+// always single-use, and the copies would dominate large ingests.
 func (b *Builder) buildOwned() *Graph {
 	n := len(b.labels)
+	edges := mergeEdges(b.edges)
+	if cap(edges)-len(edges) > len(edges)/8 {
+		edges = slices.Clone(edges) // duplicates merged: drop the slack
+	}
 	g := &Graph{
 		directed: b.directed,
 		labels:   b.labels,
 		index:    b.index,
-		edges:    mergeEdges(b.edges),
+		edges:    edges,
 	}
 	b.labels, b.index, b.edges = nil, nil, nil
 	g.buildCSR(n)
 	return g
 }
 
-// presize reserves index and edge capacity for an edge list of
-// totalBytes whose first chunk is sample: the sample's line density
-// extrapolates to an expected total line count, which upper-bounds
-// both the edge count and (in practice) the unique label count.
-// A zero or small estimate leaves the lazy defaults in place.
-func (b *Builder) presize(totalBytes int, sample []byte) {
-	if totalBytes <= len(sample) || len(sample) == 0 {
-		totalBytes = len(sample)
+// presize reserves edge capacity for an edge list of totalBytes whose
+// first chunk is sample, and returns the expected row count: the
+// sample's line density extrapolated to totalBytes, which upper-bounds
+// the edge count. A small estimate leaves the lazy default. Labels are
+// not sized from lines, since nodes recur across them: sizeIndex sizes
+// the index from the labels the first rows bring.
+func (b *Builder) presize(totalBytes int, sample []byte) float64 {
+	rows := max(float64(totalBytes)/float64(len(sample)), 1) * float64(bytes.Count(sample, []byte{'\n'})+1)
+	if rows >= 1<<12 {
+		b.edges = make([]Edge, 0, int(rows))
 	}
-	lines := bytes.Count(sample, []byte{'\n'}) + 1
-	est := int(float64(totalBytes) / float64(len(sample)) * float64(lines))
-	if est < 1<<12 {
+	return rows
+}
+
+// sizeIndex regrows the label index, once, to the label count that
+// the input's first rows predict for all of it: halfLabels labels
+// after the first half of the sample, len(b.labels) after all of it,
+// in an input of halves such half samples. New labels per half sample
+// are taken to change geometrically at the rate the two halves show:
+// flat while labels keep arriving (rows grouped by a growing node),
+// falling as they run out (draws from a fixed label set). A prediction
+// short of twice the current count, or of 4096 labels, leaves the
+// index alone.
+func (b *Builder) sizeIndex(halfLabels int, halves float64) {
+	h, d := float64(halfLabels), float64(len(b.labels))
+	if h == 0 {
 		return
 	}
-	b.index = make(map[string]int32, est)
-	b.edges = make([]Edge, 0, est)
-	b.labels = make([]string, 0, est)
+	est := h * halves
+	if q := (d - h) / h; q < 1 {
+		est = h * (1 - math.Pow(q, halves)) / (1 - q)
+	}
+	if est < max(2*d, 1<<12) {
+		return
+	}
+	index := make(map[string]int32, int(est))
+	//lint:detiter-ok copying into another map; insertion order is irrelevant
+	for k, v := range b.index {
+		index[k] = v
+	}
+	b.index = index
 }
 
-// edgeRec is a sortable buffered edge: the endpoint pair packed into
-// one comparable word, plus the insertion index and the weight.
-type edgeRec struct {
-	key uint64 // Src<<32 | Dst — node IDs are non-negative int32s
-	idx int32  // insertion order; tie-break makes the sort stable
-	w   float64
-}
-
-// mergeEdges returns the canonical edge slice — sorted by (Src, Dst),
-// duplicates merged by summing weights — without touching the input.
-// The sort is stable in insertion order, so duplicate contributions
-// accumulate in that order: float addition is not associative, and
-// this keeps merged weights bit-identical to per-pair accumulation.
-//
-// Sort keys pack (Src, Dst) into the fewest bits that hold the largest
-// node ID, so the radix sort runs the fewest 16-bit passes that cover
-// the actual key range (2 passes for graphs under 64k nodes, 3 up to
-// 16M) instead of a full 64-bit sort.
+// mergeEdges puts edges in canonical order — sorted by (Src, Dst),
+// duplicates merged by summing weights — reusing edges' storage, and
+// returns the merged prefix. The sort is stable, so duplicate
+// contributions accumulate in insertion order: float addition is not
+// associative, and this keeps merged weights bit-identical to per-pair
+// accumulation.
 func mergeEdges(edges []Edge) []Edge {
-	recs := make([]edgeRec, len(edges))
-	var maxID int32
-	for _, e := range edges {
-		if e.Src > maxID {
-			maxID = e.Src
-		}
-		if e.Dst > maxID {
-			maxID = e.Dst
-		}
-	}
-	nb := uint(bits.Len32(uint32(maxID)))
-	mask := uint64(1)<<nb - 1
-	for i, e := range edges {
-		recs[i] = edgeRec{key: uint64(uint32(e.Src))<<nb | uint64(uint32(e.Dst)), idx: int32(i), w: e.Weight}
-	}
-	sortEdgeRecs(recs, 2*nb)
-	out := make([]Edge, 0, len(recs))
-	prev := ^uint64(0)
-	for _, r := range recs {
-		if k := len(out); k > 0 && prev == r.key {
-			out[k-1].Weight += r.w
+	out := edges[:0]
+	for _, e := range sortEdges(edges) {
+		if k := len(out); k > 0 && out[k-1].Src == e.Src && out[k-1].Dst == e.Dst {
+			out[k-1].Weight += e.Weight
 		} else {
-			out = append(out, Edge{Src: int32(r.key >> nb), Dst: int32(r.key & mask), Weight: r.w})
-			prev = r.key
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// sortEdgeRecs orders recs by key, keeping equal keys in insertion
-// order. keyBits bounds the highest set bit of any key. Small inputs
-// use a comparison sort; large ones an LSD radix sort over 16-bit
-// digits, which is stable by construction and several times faster on
-// million-edge buffers.
-func sortEdgeRecs(recs []edgeRec, keyBits uint) {
-	if len(recs) < 1<<13 {
-		slices.SortFunc(recs, func(a, b edgeRec) int {
-			if a.key != b.key {
-				if a.key < b.key {
-					return -1
-				}
-				return 1
-			}
-			return int(a.idx - b.idx)
-		})
-		return
+// sortEdges stably sorts edges by (Src, Dst) and returns them sorted,
+// in edges itself or in the one scratch slice the sort allocates. It
+// is an LSD radix sort over the key Src<<nb | Dst, with nb the bits
+// of the largest node ID. Digits are about as wide as the input is
+// long (8 to 16 bits), so the count table never dwarfs the input: two
+// passes cover a 20k-edge body over 1,000 nodes (one per endpoint) and
+// a million edges over up to 64k nodes.
+func sortEdges(edges []Edge) []Edge {
+	var maxID int32
+	for _, e := range edges {
+		maxID = max(maxID, e.Src, e.Dst)
 	}
-	const radix = 1 << 16
-	src, dst := recs, make([]edgeRec, len(recs))
-	count := make([]int32, radix)
-	for shift := uint(0); shift < keyBits; shift += 16 {
+	if maxID == 0 {
+		return edges // no edges: a self-loop-free edge has an ID above 0
+	}
+	nb := uint(bits.Len32(uint32(maxID)))
+	keyBits := 2 * nb
+	width := min(max(uint(bits.Len(uint(len(edges)))), 8), 16)
+	passes := (keyBits + width - 1) / width
+	width = (keyBits + passes - 1) / passes
+	key := func(e Edge) uint64 { return uint64(uint32(e.Src))<<nb | uint64(uint32(e.Dst)) }
+	mask := uint64(1)<<width - 1
+	src, dst := edges, make([]Edge, len(edges))
+	count := make([]int32, 1<<width)
+	for shift := uint(0); shift < keyBits; shift += width {
 		clear(count)
-		for i := range src {
-			count[(src[i].key>>shift)&(radix-1)]++
+		for _, e := range src {
+			count[key(e)>>shift&mask]++
 		}
-		if int(count[(src[0].key>>shift)&(radix-1)]) == len(src) {
-			continue // all records share this digit: pass is a no-op
+		if int(count[key(src[0])>>shift&mask]) == len(src) {
+			continue // all edges share this digit: the pass is a no-op
 		}
 		sum := int32(0)
-		for d := range count {
-			c := count[d]
+		for d, c := range count {
 			count[d] = sum
 			sum += c
 		}
-		for i := range src {
-			d := (src[i].key >> shift) & (radix - 1)
-			dst[count[d]] = src[i]
+		for _, e := range src {
+			d := key(e) >> shift & mask
+			dst[count[d]] = e
 			count[d]++
 		}
 		src, dst = dst, src
 	}
-	if len(recs) > 0 && &src[0] != &recs[0] {
-		copy(recs, src)
-	}
+	return src
 }
 
 // buildCSR assembles adjacency, strengths and the isolate count from

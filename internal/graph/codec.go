@@ -1,18 +1,24 @@
 // Streaming, zero-allocation, parallel edge-list decoding.
 //
-// readEdgeList reads the input in large chunks, splits chunks on line
+// readEdgeList reads the input in chunks of up to readChunkSize bytes
+// (never more than a sized input has left), splits chunks on line
 // boundaries, and parses fields as []byte sub-slices of the chunk
-// buffer — no per-line string, no per-edge []string. Chunks fan out to
-// GOMAXPROCS shard parsers; their raw-edge buffers are merged back in
-// input order, interning labels through the Builder's single
-// map[string]int32 with no-copy lookups and arena-packed label storage,
-// so the resulting Graph is bit-identical to the line-by-line serial
-// reader (pinned by TestParallelReaderMatchesSerialOracle).
+// buffer — no per-line string, no per-edge []string; weights of plain
+// decimal digits skip strconv. Chunks fan out to GOMAXPROCS shard
+// parsers; their raw-edge buffers are merged back in input order,
+// interning labels through the Builder's single map[string]int32 with
+// no-copy lookups and arena-packed label storage, so the resulting
+// Graph is bit-identical to the line-by-line serial reader (pinned by
+// TestParallelReaderMatchesSerialOracle). Allocations follow the
+// input: the edge buffer is sized from the first chunk's line density,
+// the label index from the labels the first 4,096 rows bring, and
+// labels grow with the nodes, which recur across lines.
 
 package graph
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
@@ -68,7 +74,10 @@ var nlByte = []byte{'\n'}
 // line that outgrows maxLineBytes fails fast with the same typed error
 // and line number the serial reader reports.
 type chunkReader struct {
-	r     io.Reader
+	r io.Reader
+	// sized is r when r knows how many bytes it has left, so no chunk
+	// buffer outgrows the input.
+	sized interface{ Len() int }
 	carry []byte
 	line  int64 // line number of the first line of the next chunk
 	eof   bool
@@ -87,7 +96,13 @@ func (c *chunkReader) next() ([]byte, int64, error) {
 			c.carry = nil
 			return data, start, nil
 		}
-		buf := make([]byte, len(c.carry), len(c.carry)+readChunkSize)
+		size := readChunkSize
+		if c.sized != nil {
+			// One byte past the end lets io.ReadFull report the end of
+			// input together with the last bytes.
+			size = min(size, c.sized.Len()+1)
+		}
+		buf := make([]byte, len(c.carry), len(c.carry)+size)
 		copy(buf, c.carry)
 		n, err := io.ReadFull(c.r, buf[len(buf):cap(buf)])
 		buf = buf[:len(c.carry)+n]
@@ -130,14 +145,13 @@ func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	b := NewBuilder(directed)
 	var arena labelArena
 	// Known-size inputs (bytes.Reader, strings.Reader, the daemon's
-	// in-memory bodies) let us presize the label index and edge buffer
-	// from the first chunk's line density, avoiding incremental map
-	// growth — the dominant cost of million-edge ingests.
+	// in-memory bodies) size each chunk buffer to the bytes left and
+	// the edge buffer from the first chunk's line density.
+	cr := &chunkReader{r: r, line: 1}
 	totalBytes := 0
 	if lr, ok := r.(interface{ Len() int }); ok {
-		totalBytes = lr.Len()
+		cr.sized, totalBytes = lr, lr.Len()
 	}
-	cr := &chunkReader{r: r, line: 1}
 
 	// First chunk up front: single-chunk inputs (small daemon bodies)
 	// and single-worker environments skip the goroutine machinery.
@@ -149,17 +163,20 @@ func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.presize(totalBytes, first)
+	// rows is the input's expected row count until the first chunk has
+	// sized the label index, and 0 after.
+	rows := b.presize(totalBytes, first)
+	merge := func(res chunkResult) error {
+		// Edges first: a builder error on an earlier line outranks the
+		// chunk's own parse error (serial readers fail in input order).
+		err := cmp.Or(b.addRawEdges(&arena, &res, rows), res.err)
+		rows = 0
+		return err
+	}
 	if workers == 1 || (cr.eof && len(cr.carry) == 0) {
 		for {
-			res := parseChunk(first, firstStart)
-			// Builder errors on pre-error lines outrank the parse error:
-			// the serial oracle fails on the first bad line in input order.
-			if err := b.addRawEdges(&arena, &res); err != nil {
+			if err := merge(parseChunk(first, firstStart)); err != nil {
 				return nil, err
-			}
-			if res.err != nil {
-				return nil, res.err
 			}
 			if first, firstStart, err = cr.next(); err != nil {
 				//lint:errdiscipline-ok chunkReader.next hands back io.EOF unwrapped, and this runs per chunk
@@ -184,12 +201,17 @@ func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 		defer close(producerExited)
 		defer close(jobs)
 		defer close(ordered)
-		data, start := first, firstStart
-		for {
+		data, start, err := first, firstStart, error(nil)
+		//lint:errdiscipline-ok chunkReader.next hands back io.EOF unwrapped, and this runs per chunk
+		for err != io.EOF {
 			out := make(chan chunkResult, 1)
 			select {
 			case ordered <- out:
 			case <-done:
+				return
+			}
+			if err != nil { // a read error takes its place in chunk order
+				out <- chunkResult{err: err}
 				return
 			}
 			select {
@@ -197,19 +219,7 @@ func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 			case <-done:
 				return
 			}
-			var err error
-			if data, start, err = cr.next(); err != nil {
-				//lint:errdiscipline-ok chunkReader.next hands back io.EOF unwrapped, and this runs per chunk
-				if err != io.EOF {
-					out := make(chan chunkResult, 1)
-					out <- chunkResult{err: err}
-					select {
-					case ordered <- out:
-					case <-done:
-					}
-				}
-				return
-			}
+			data, start, err = cr.next()
 		}
 	}()
 	for w := 0; w < workers; w++ {
@@ -220,14 +230,8 @@ func readEdgeList(r io.Reader, directed bool) (*Graph, error) {
 		}()
 	}
 	for out := range ordered { // deterministic in-order merge
-		res := <-out
-		// Edges first: a builder error on an earlier line outranks the
-		// chunk's own parse error (serial readers fail in input order).
-		if err := b.addRawEdges(&arena, &res); err != nil {
+		if err := merge(<-out); err != nil {
 			return nil, err
-		}
-		if res.err != nil {
-			return nil, res.err
 		}
 	}
 	return b.buildOwned(), nil
@@ -261,12 +265,15 @@ func parseChunk(data []byte, startLine int64) chunkResult {
 		if nf < 3 {
 			return chunkResult{data: base, edges: edges, err: fmt.Errorf("graph: line %d: want 3 fields (src,dst,weight), got %d", cur, nf)}
 		}
-		w, err := strconv.ParseFloat(bstr(wf), 64)
-		if err != nil {
-			if cur == 1 && !containsDigit(wf) {
-				continue // header row: the weight field has no digits at all
+		w, ok := parseCount(wf)
+		if !ok {
+			var err error
+			if w, err = strconv.ParseFloat(bstr(wf), 64); err != nil {
+				if cur == 1 && !containsDigit(wf) {
+					continue // header row: the weight field has no digits at all
+				}
+				return chunkResult{data: base, edges: edges, err: fmt.Errorf("graph: line %d: bad weight %q: %v", cur, wf, err)}
 			}
-			return chunkResult{data: base, edges: edges, err: fmt.Errorf("graph: line %d: bad weight %q: %v", cur, wf, err)}
 		}
 		srcOff, dstOff := byteOffset(base, src), byteOffset(base, dst)
 		edges = append(edges, rawEdge{
@@ -276,6 +283,21 @@ func parseChunk(data []byte, startLine int64) chunkResult {
 		})
 	}
 	return chunkResult{data: base, edges: edges}
+}
+
+// parseCount converts a weight field of 1 to 15 ASCII digits — the
+// integer counts the null models are defined on — without
+// strconv.ParseFloat. Every such value is below 2^53, so the float64
+// is exact and equal to what ParseFloat returns.
+func parseCount(b []byte) (float64, bool) {
+	var n uint64
+	for _, c := range b {
+		if c-'0' > 9 { // c-'0' wraps for bytes below '0'
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return float64(n), len(b) > 0 && len(b) <= 15
 }
 
 // byteOffset returns sub's offset within base. sub must be a sub-slice
@@ -434,12 +456,24 @@ func (b *Builder) internLabel(arena *labelArena, lb []byte) int32 {
 	return id
 }
 
+// indexSample is how many leading rows of an input size its label
+// index (see Builder.sizeIndex).
+const indexSample = 1 << 12
+
 // addRawEdges interns each raw edge's labels in input order and
 // appends the edge to the builder, reproducing AddEdgeLabels' node
-// creation order and error text.
-func (b *Builder) addRawEdges(arena *labelArena, res *chunkResult) error {
+// creation order and error text. With rows above 0 the chunk is the
+// first of an input of about that many rows, and its first indexSample
+// rows size the label index.
+func (b *Builder) addRawEdges(arena *labelArena, res *chunkResult, rows float64) error {
 	b.edges = slices.Grow(b.edges, len(res.edges))
+	halfLabels := 0
 	for i := range res.edges {
+		if rows > 0 && i == indexSample/2 {
+			halfLabels = len(b.labels)
+		} else if rows > 0 && i == indexSample {
+			b.sizeIndex(halfLabels, rows/(indexSample/2))
+		}
 		e := &res.edges[i]
 		u := b.internLabel(arena, res.data[e.srcOff:e.srcEnd])
 		v := b.internLabel(arena, res.data[e.dstOff:e.dstEnd])

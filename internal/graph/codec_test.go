@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // withCodecTuning shrinks the codec's chunk size and forces a worker
@@ -100,6 +104,89 @@ var oracleCases = []string{
 	"a,b,NaN\n",
 	"a,b,Inf\n",
 	"src,dst,weight\n# comment\na,b,2\n",
+	"a,b,007\nb,c,123456789012345\nc,d,9999999999999999\nd,e,+5\n", // count weights
+}
+
+// TestReadErrorKeepsChunkOrder: a reader failing after some chunks
+// fails the read with its error, in chunk order, with either worker
+// count; a bad row before the failure still outranks it.
+func TestReadErrorKeepsChunkOrder(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&sb, "n%d,n%d,%d\n", i, i+1, i+1)
+	}
+	good := sb.String()
+	rows := strings.SplitAfter(good, "\n")
+	bad := strings.Join(rows[:100], "") + "a,b\n" + strings.Join(rows[100:], "")
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 3} {
+		withCodecTuning(t, 64, workers)
+		for _, tc := range []struct{ in, want string }{
+			{good, "graph: read: boom"},
+			{"", "graph: read: boom"},
+			{bad, "graph: line 101: want 3 fields (src,dst,weight), got 2"},
+		} {
+			_, err := readEdgeList(io.MultiReader(strings.NewReader(tc.in), iotest.ErrReader(boom)), false)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("workers=%d, %d input bytes: err = %v, want %s", workers, len(tc.in), err, tc.want)
+			}
+		}
+	}
+}
+
+// TestParseCountMatchesParseFloat: the integer weight fast path takes
+// exactly the fields of 1 to 15 ASCII digits, and gives ParseFloat's
+// value on each.
+func TestParseCountMatchesParseFloat(t *testing.T) {
+	for _, in := range []string{"0", "7", "007", "42", "999999999999999", "123456789012345",
+		"9999999999999999", "", "+5", "-0", "1e3", "1.0", " 1", "0x10", "١"} {
+		got, ok := parseCount([]byte(in))
+		want, err := strconv.ParseFloat(in, 64)
+		wantOK := len(in) >= 1 && len(in) <= 15 && strings.Trim(in, "0123456789") == ""
+		if ok != wantOK || ok && (err != nil || math.Float64bits(got) != math.Float64bits(want)) {
+			t.Errorf("parseCount(%q) = %v, %v; want ok=%v and ParseFloat's %v (%v)", in, got, ok, wantOK, want, err)
+		}
+	}
+}
+
+// TestReadSizesLabelsToNodes: a sized input with many rows over few
+// labels leaves label storage of the order of its nodes, not its
+// lines, and an edge buffer of the order of its merged edges, whether
+// labels arrive with a growing node (a Barabási–Albert body), are
+// drawn from a fixed set (which sizes the label index from the first
+// chunk), or every row comes twice.
+func TestReadSizesLabelsToNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var drawn bytes.Buffer
+	for i := 0; i < 60_000; i++ {
+		u, v := rng.Intn(20_000), rng.Intn(19_999)
+		if v >= u {
+			v++
+		}
+		fmt.Fprintf(&drawn, "n%d,n%d,%d\n", u, v, 1+rng.Intn(9))
+	}
+	ba := benchCountsCSV(500, 100)
+	inputs := map[string][]byte{"ba": ba, "drawn": drawn.Bytes(), "ba twice": append(slices.Clip(ba), ba...)}
+	for name, data := range inputs {
+		for _, chunk := range []int{1 << 20, 64 << 10} {
+			withCodecTuning(t, chunk, 0)
+			g, err := ReadGraph(bytes.NewReader(data), ReadOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := g.NumNodes(); cap(g.labels) > 2*n {
+				t.Errorf("%s, %d-byte chunks: %d nodes hold label capacity %d", name, chunk, n, cap(g.labels))
+			}
+			if m := g.NumEdges(); cap(g.edges) > m+m/8 {
+				t.Errorf("%s, %d-byte chunks: %d edges hold edge capacity %d", name, chunk, m, cap(g.edges))
+			}
+			want, err := readEdgeListSerial(bytes.NewReader(data), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameGraph(t, g, want, fmt.Sprintf("%s, %d-byte chunks", name, chunk))
+		}
+	}
 }
 
 func TestParallelReaderMatchesSerialOracle(t *testing.T) {

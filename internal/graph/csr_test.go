@@ -119,13 +119,30 @@ func checkAgainstRef(t *testing.T, directed bool, n int, raw []Edge) {
 	// consistent with the canonical edge, and degree sums correct.
 	checkAdjacency(t, g)
 
-	// Weight() must agree with a linear scan for every pair.
-	for u := 0; u < n; u++ {
+	// Weight() must agree with a linear scan for every pair: every node
+	// pair while n is small, else every pair of nodes raw touches.
+	nodes := make([]int, 0, n)
+	if n <= 512 {
+		for u := 0; u < n; u++ {
+			nodes = append(nodes, u)
+		}
+	} else {
+		seen := make(map[int32]bool)
+		for _, e := range raw {
+			for _, u := range []int32{e.Src, e.Dst} {
+				if !seen[u] {
+					seen[u] = true
+					nodes = append(nodes, int(u))
+				}
+			}
+		}
+	}
+	for _, u := range nodes {
 		want := make(map[int]float64)
 		for _, a := range g.Out(u) {
 			want[int(a.To)] = a.Weight
 		}
-		for v := 0; v < n; v++ {
+		for _, v := range nodes {
 			w, ok := g.Weight(u, v)
 			ww, wok := want[v]
 			if ok != wok || w != ww {
@@ -182,7 +199,9 @@ func checkAdjacency(t *testing.T, g *Graph) {
 // TestBuilderMatchesMapReference is the tentpole property test: across
 // many random duplicate-heavy inputs, the sort-merge Builder must
 // produce graphs bit-identical to the seed's map-based implementation —
-// edges, strengths, totals, labels and isolate counts.
+// edges, strengths, totals, labels and isolate counts. The large
+// trials take the radix sort through wide digits: two passes over 300
+// nodes, and three over node IDs spread across 2^17.
 func TestBuilderMatchesMapReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -190,6 +209,21 @@ func TestBuilderMatchesMapReference(t *testing.T) {
 		directed := trial%2 == 0
 		raw := randomRaw(rng, n)
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
+			checkAgainstRef(t, directed, n, raw)
+		})
+	}
+	for trial, n := range []int{300, 300, 1 << 17, 1 << 17} {
+		rng := rand.New(rand.NewSource(int64(100 + trial)))
+		directed := trial%2 == 0
+		ids := rng.Perm(n)[:300]
+		raw := make([]Edge, 0, 40_000)
+		for len(raw) < cap(raw) {
+			u, v := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+			if u != v {
+				raw = append(raw, Edge{Src: int32(u), Dst: int32(v), Weight: rng.ExpFloat64()})
+			}
+		}
+		t.Run(fmt.Sprintf("large%d", trial), func(t *testing.T) {
 			checkAgainstRef(t, directed, n, raw)
 		})
 	}

@@ -202,9 +202,10 @@ func firstLine(prefix []byte) []byte {
 }
 
 // sizedReader augments a buffered reader with the total number of
-// bytes left to read, so the edge-list codec can presize its label
-// index and edge buffers (see Builder.presize). Len counts the bytes
-// still buffered plus whatever the original source reports.
+// bytes left to read, so the edge-list codec can size its chunk and
+// edge buffers to the input (see chunkReader and Builder.presize). Len
+// counts the bytes still buffered plus whatever the original source
+// reports.
 type sizedReader struct {
 	*bufio.Reader
 	source interface{ Len() int }
@@ -217,7 +218,7 @@ func (s *sizedReader) Len() int { return s.Buffered() + s.source.Len() }
 // is then taken from o.Format or sniffed from the leading content.
 // When r knows its remaining size (bytes.Reader, strings.Reader — the
 // daemon's in-memory request bodies) and the input is not compressed,
-// the size is forwarded to the codec for allocation presizing.
+// the size is forwarded to the codec for sizing its buffers.
 func ReadGraph(r io.Reader, o ReadOptions) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	gzipped := false

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -27,8 +29,49 @@ func benchEdgeListCSV(m int) []byte {
 	return buf.Bytes()
 }
 
+// benchCountsCSV renders a reproducible count-weighted Barabási–Albert
+// edge list as csv bytes: each arriving node v attaches to k distinct
+// earlier nodes drawn by degree, one "v,u,count" row per attachment,
+// with counts ⌈lognormal(1, 1.2)⌉ and decimal node labels. That is the
+// shape of the daemon's serving bodies and of the batch corpus: few
+// labels, each on many rows, and plain integer weights.
+func benchCountsCSV(n, k int) []byte {
+	rng := rand.New(rand.NewSource(11))
+	targets := make([]int, 0, 2*n*k)
+	seen := make([]int, n) // seen[u] == v+1: u already drawn for v
+	picked := make([]int, 0, k)
+	buf := make([]byte, 0, 12*n*k)
+	for v := 1; v < n; v++ {
+		picked = picked[:0]
+		for len(picked) < min(k, v) {
+			u := len(picked) // the first k nodes attach to all predecessors
+			if v > k {
+				u = targets[rng.Intn(len(targets))]
+			}
+			if seen[u] == v+1 {
+				continue
+			}
+			seen[u] = v + 1
+			picked = append(picked, u)
+		}
+		for _, u := range picked {
+			buf = strconv.AppendInt(buf, int64(v), 10)
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, int64(u), 10)
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, int64(math.Ceil(math.Exp(1+1.2*rng.NormFloat64()))), 10)
+			buf = append(buf, '\n')
+			targets = append(targets, u, v)
+		}
+	}
+	return buf
+}
+
 func benchRead(b *testing.B, m int, read func(r io.Reader, directed bool) (*Graph, error)) {
-	data := benchEdgeListCSV(m)
+	benchReadData(b, benchEdgeListCSV(m), read)
+}
+
+func benchReadData(b *testing.B, data []byte, read func(r io.Reader, directed bool) (*Graph, error)) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,6 +88,16 @@ func benchRead(b *testing.B, m int, read func(r io.Reader, directed bool) (*Grap
 
 func BenchmarkReadCSV100k(b *testing.B) { benchRead(b, 100_000, readEdgeList) }
 func BenchmarkReadCSV1M(b *testing.B)   { benchRead(b, 1_000_000, readEdgeList) }
+
+// The Counts corpora have the shape the NC null model is defined on:
+// 19,790 edges over 1,000 nodes (a serving body) and 979,900 edges
+// over 5,000 nodes (the batch corpus), integer counts throughout.
+func BenchmarkReadCSVCounts20k(b *testing.B) {
+	benchReadData(b, benchCountsCSV(1000, 20), readEdgeList)
+}
+func BenchmarkReadCSVCounts1M(b *testing.B) {
+	benchReadData(b, benchCountsCSV(5000, 200), readEdgeList)
+}
 
 // The pre-PR line-by-line reader stays benchmarked so the codec's
 // speedup (BENCH_baseline.json post_pr4) remains re-measurable on

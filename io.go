@@ -58,9 +58,9 @@ func WithGzip() IOOption {
 //
 // Decoding streams through a chunked, allocation-free codec that fans
 // chunks out to GOMAXPROCS shard parsers on multi-core machines; when
-// r knows its size (bytes.Reader, strings.Reader), internal buffers
-// are presized from it. Results are identical regardless of
-// parallelism or reader type.
+// r knows its size (bytes.Reader, strings.Reader), no read buffer
+// outgrows the input and the edge buffer is sized from it. Results are
+// identical regardless of parallelism or reader type.
 //
 //	g, err := repro.ReadGraph(f)                                  // sniffed
 //	g, err := repro.ReadGraph(f, repro.WithFormat("ndjson"))
